@@ -9,12 +9,15 @@ import repro.spark.DistributedQueryRunner
   * Example: `spark-submit --class repro.jobs.Table7Job repro.jar`.
   */
 private object JobSession {
-  def local(name: String): SparkSession =
-    SparkSession.builder
+  def local(name: String): SparkSession = {
+    val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    s.sparkContext.setLogLevel("WARN")
+    s
+  }
 }
 
 /** Table 1: NYC example SkySRs via the distributed pipeline. */

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Query, SRoute, Skyline}
+import repro.core.{PositionSpec, Query, SRoute, Skyline}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -46,12 +46,12 @@ object IterativeOsr {
       metrics: BaselineMetrics,
       maxSettled: Long = Long.MaxValue,
   ): Vector[SRoute] = {
-    val t0     = System.nanoTime()
-    val levels = simLevels(g, forest, query)
-    val k      = query.size
-    val simTables: Array[Array[Double]] = Array.tabulate(k) { i =>
-      Array.tabulate(forest.size)(c => forest.sim(query.categories(i), c))
-    }
+    val t0 = System.nanoTime()
+    g.requireVertex(query.start, "start")
+    query.destination.foreach(g.requireVertex(_, "destination"))
+    val simTables = query.specs.map(PositionSpec.simTable(forest, _)) // checks category ids
+    val levels    = simLevels(g, forest, query)
+    val k         = query.size
     val candidates = mutable.ArrayBuffer.empty[SRoute]
     def rec(pos: Int, mins: List[Double]): Unit = {
       if (metrics.aborted) return

@@ -130,9 +130,9 @@ object OsrPne {
       k: Int,
   ): Option[SRoute] = {
 
-    // Entry: partial route + the NN rank its last PoI was drawn at (for
-    // sibling generation). rank == -1 for the empty seed.
-    final case class Entry(route: SRoute, rank: Int)
+    // Entry: partial route, the NN rank its last PoI was drawn at and the
+    // route it extends (for sibling generation).
+    final case class Entry(route: SRoute, rank: Int, parent: SRoute)
     val ord = Ordering.by((e: Entry) => e.route.length).reverse
     val pq  = mutable.PriorityQueue.empty[Entry](ord)
 
@@ -157,7 +157,7 @@ object OsrPne {
       val src = if (parent.isEmpty) start else parent.end
       nextValid(src, pos, parent, fromRank).foreach { case (r, p, d) =>
         val cat = g.poiCategory(p)
-        pq.enqueue(Entry(parent.extend(p, d, matchers(pos).sims(cat)), r))
+        pq.enqueue(Entry(parent.extend(p, d, matchers(pos).sims(cat)), r, parent))
         if (pq.size > metrics.peakQueueSize) metrics.peakQueueSize = pq.size
       }
     }
@@ -168,16 +168,8 @@ object OsrPne {
       if (e.route.size == k) return Some(e.route)
       // child: first valid NN for the next position
       pushExtension(e.route, 0)
-      // sibling: parent's next valid NN after this route's rank — recover the
-      // parent by stripping the last leg (its distance is the rank's NN dist)
-      val prefix  = e.route.pois.init
-      val src     = if (prefix.isEmpty) start else prefix.last
-      val lastPos = e.route.size - 1
-      val lastSim = matchers(lastPos).sims(g.poiCategory(e.route.end))
-      val nns     = pool.of(src, poolKeyOffset + lastPos, matchers(lastPos))
-      val lastD   = nns.get(e.rank).map(_._2).getOrElse(0.0)
-      val parent  = SRoute(prefix, e.route.length - lastD, e.route.simProduct / lastSim)
-      pushExtension(parent, e.rank + 1)
+      // sibling: the parent's next valid NN after this route's rank
+      pushExtension(e.parent, e.rank + 1)
     }
     None
   }

@@ -1,17 +1,7 @@
 package repro.bench
 
-import repro.core.SRoute
-
 /** Shared harness helpers for the table-reproduction benchmarks. */
 object BenchUtil {
-
-  def timeNanos[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, System.nanoTime() - t0)
-  }
-
-  def ms(nanos: Long): Double = nanos / 1e6
 
   /** Render a paper-style table: header row + aligned columns. */
   def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
@@ -21,19 +11,6 @@ object BenchUtil {
       r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
     val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
     (s"== $title ==" +: fmt(header) +: sep +: rows.map(fmt)).mkString("\n")
-  }
-
-  def fmtRoute(r: SRoute, name: Int => String): String =
-    r.pois.map(name).mkString(" -> ")
-
-  /** Used-heap after a best-effort GC — the sanity column of the Table 6
-    * memory model (per-process RSS is meaningless in one shared JVM).
-    */
-  def usedHeapBytes(): Long = {
-    System.gc(); System.gc()
-    Thread.sleep(50)
-    val rt = Runtime.getRuntime
-    rt.totalMemory() - rt.freeMemory()
   }
 
   /** Retained-bytes model for Table 6: graph footprint + peak live queue

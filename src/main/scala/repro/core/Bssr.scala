@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
+import repro.graph.{RoadGraph, SearchMetrics}
 import repro.semantics.CategoryForest
 
 import scala.collection.mutable
@@ -84,8 +84,7 @@ final class Bssr(
     * destination variation when `query.destination` is set).
     */
   def run(query: Query): BssrResult =
-    runSpecs(query.start,
-      query.categories.map(PositionSpec.simple), query.destination)
+    runSpecs(query.start, query.specs, query.destination)
 
   /** §6 complex category requirements: each position is a disjunction of
     * categories minus negations; a multi-category PoI is the same
@@ -99,9 +98,11 @@ final class Bssr(
     val k       = specs.size
     require(k >= 1, "empty category sequence")
 
-    // Per-position similarity tables — the "semantic hierarchy filters".
-    val simPos: Array[Array[Double]] =
-      specs.toArray.map(PositionSpec.simTable(forest, _))
+    // Similarity tables, Lemma 5.5's overlap switch and the destination
+    // distances (validates the start, destination and category ids).
+    val setup       = QuerySetup(g, forest, start, specs, destination, metrics.search)
+    val simPos      = setup.simPos
+    val overlapping = setup.overlapping
     // Largest non-perfect similarity reachable at each position (present
     // categories only) — drives δ, the minimum semantic increment.
     val maxNonPerf: Array[Double] = Array.tabulate(k) { i =>
@@ -115,37 +116,12 @@ final class Bssr(
     for (s <- (0 until k).reverse)
       maxNonPerfSuffix(s) = math.max(maxNonPerf(s), maxNonPerfSuffix(s + 1))
 
-    // Lemma 5.5's substitutions assume the at-least-as-similar interior PoI
-    // is *usable* — false when another position can match the same PoIs
-    // (the substitute may already be on the route, Def. 3.4-iii). Disable
-    // the lemma for such positions; it is a pure pruning rule, so exactness
-    // is unaffected. Paper workloads always use distinct trees (§7.1).
-    val matchSets: Array[Set[Int]] = Array.tabulate(k) { i =>
-      presentCats.filter(c => simPos(i)(c) > 0.0).toSet
-    }
-    val overlapping: Array[Boolean] = Array.tabulate(k) { i =>
-      (0 until k).exists(j => j != i && matchSets(i).intersect(matchSets(j)).nonEmpty)
-    }
-
-    // §6 destination variation: distance from every vertex *to* the
-    // destination (transpose handles directed graphs).
-    val distToDest: Option[Array[Double]] = destination.map(d =>
-      Dijkstra.fromSource(g.transpose, d, metrics = metrics.search))
-
-    /** Append the destination leg; None if the destination is unreachable. */
-    def sealRoute(r: SRoute): Option[SRoute] = distToDest match {
-      case None => Some(r)
-      case Some(dd) =>
-        val leg = dd(r.end)
-        if (leg.isInfinity) None else Some(SRoute(r.pois, r.length + leg, r.simProduct))
-    }
-
     val sky = new SkylineSet
 
     // ---- Optimization 1: initial search (§5.3.1) -------------------------
     if (opts.useInit) {
       val ti = System.nanoTime()
-      val found = NNInit.runTables(g, simPos, start, distToDest, sky, metrics.search)
+      val found = NNInit.runTables(g, simPos, start, setup.distToDest, sky, metrics.search)
       metrics.initTimeNanos = System.nanoTime() - ti
       metrics.initRoutes = found.size
       val complete = found.filter(_.size == k)
@@ -203,7 +179,7 @@ final class Bssr(
     def processCandidate(parent: SRoute, u: Int, d: Double, sim: Double): Unit = {
       if (!parent.contains(u)) {
         val rt = parent.extend(u, d, sim)
-        if (rt.size == k) sealRoute(rt).foreach(sky.update) // rejects dominated/equiv
+        if (rt.size == k) rt.toDestination(setup.distToDest).foreach(sky.update) // rejects dominated/equiv
         else if (!shouldPrune(rt)) enqueue(rt)
       }
     }

@@ -37,21 +37,23 @@ object BulkSkySRSpark {
     import spark.implicits._
     val k = query.size
 
+    // Similarity tables, overlap and destination distances, as in Bssr.
+    val setup  = QuerySetup(g, forest, query.start, query.specs, query.destination)
+    val simPos = setup.simPos
+    // Overlapping positions make the used-PoI set part of a route's state.
+    val usedSetState = setup.overlapping.contains(true)
+
     // Phase 1: driver-side NNinit seeds (upper bound L0, Lemma 5.3). Seeds
     // and L0 already include the §6 destination leg when one is given.
     val sky = new SkylineSet
-    val seeds = NNInit.run(g, forest, query, sky)
+    val seeds = NNInit.runTables(g, simPos, query.start, setup.distToDest, sky, null)
     val l0 = sky.thresholdFor(0.0)
-    val distToDest = query.destination.map(d => Dijkstra.fromSource(g.transpose, d))
 
     // Lower-bound suffixes (Def. 5.7) shared with the sequential BSSR.
-    val (legS, _) = LowerBounds.legs(g, forest, query, l0)
+    val (legS, _) = LowerBounds.legsTables(g, simPos, query.start, l0)
     val lsSuf = LowerBounds.suffixSums(legS)
 
     // Phase 2: PoI graph restricted to the L0 ball around the start.
-    val simPos: Array[Array[Double]] = Array.tabulate(k) { i =>
-      Array.tabulate(forest.size)(c => forest.sim(query.categories(i), c))
-    }
     val matchCats: Array[Set[Int]] = Array.tabulate(k) { i =>
       forest.categories.filter(c => simPos(i)(c) > 0.0).toSet
     }
@@ -95,26 +97,15 @@ object BulkSkySRSpark {
         if (l0.isInfinity) joined
         else if (i < k - 1) joined.where($"len" + lit(lsSuf(i + 1)) < lit(l0))
         else joined.where($"len" <= lit(l0))
-      val treesDistinct =
-        query.categories.map(forest.treeOf).distinct.size == k
       routes =
-        if (i < k - 1) skylinePerEnd(bounded, includeUsedSet = !treesDistinct)
+        if (i < k - 1) skylinePerEnd(bounded, includeUsedSet = usedSetState)
         else bounded
     }
 
     val complete = routes.select("pois", "len", "prod").collect().toVector
-      .map { r =>
+      .flatMap { r =>
         SRoute(r.getAs[scala.collection.Seq[Int]]("pois").toVector,
-          r.getDouble(1), r.getDouble(2))
-      }
-      .flatMap { r => // destination leg (drop routes that cannot reach it)
-        distToDest match {
-          case None => Some(r)
-          case Some(dd) =>
-            val leg = dd(r.end)
-            if (leg.isInfinity) None
-            else Some(SRoute(r.pois, r.length + leg, r.simProduct))
-        }
+          r.getDouble(1), r.getDouble(2)).toDestination(setup.distToDest)
       }
     poiDist.unpersist(); posPoi.unpersist()
 
@@ -128,11 +119,12 @@ object BulkSkySRSpark {
     */
   private[core] def skylinePerEnd(df: DataFrame, includeUsedSet: Boolean = false): DataFrame = {
     import df.sparkSession.implicits._
-    // When some positions share a category tree, two partials with different
-    // used-PoI sets have different legal futures (Def. 3.4-iii), so dominance
-    // is only safe within identical (endV, used-set) states; with all-distinct
-    // trees (the paper's workloads) the used set can never collide with a
-    // future position and endV alone is a sound state.
+    // When some positions can match the same PoIs (`QuerySetup.overlapping`),
+    // two partials with different used-PoI sets have different legal futures
+    // (Def. 3.4-iii), so dominance is only safe within identical (endV,
+    // used-set) states; otherwise (the paper's distinct-tree workloads) the
+    // used set can never collide with a future position and endV alone is a
+    // sound state.
     val state =
       if (includeUsedSet) Seq($"endV", sort_array($"pois")) else Seq($"endV")
     val dedupW = Window.partitionBy(state :+ $"len" :+ $"prod": _*).orderBy($"pois")

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
-import repro.semantics.CategoryForest
 
 /** Possible minimum distances of Def. 5.7 — the semantic-match (`l_s`) and
   * perfect-match (`l_p`) lower bounds on the length a route must still gain
@@ -11,19 +10,6 @@ import repro.semantics.CategoryForest
   * pipeline so both prune with identical bounds.
   */
 object LowerBounds {
-
-  /** Convenience wrapper for a plain category-sequence query. */
-  def legs(
-      g: RoadGraph,
-      forest: CategoryForest,
-      query: Query,
-      thr0: Double,
-      metrics: SearchMetrics = null,
-  ): (Array[Double], Array[Double]) = {
-    val simPos = query.categories.toArray.map(c =>
-      PositionSpec.simTable(forest, PositionSpec.simple(c)))
-    legsTables(g, simPos, query.start, thr0, metrics)
-  }
 
   /** (legS, legP), each of length k: entries 1..k-1 are the leg bounds
     * between positions i and i+1 (index 0 unused and 0.0). A leg is +∞ when

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.{NearestNeighborSearch, RoadGraph, SearchMetrics}
-import repro.semantics.CategoryForest
 
 /** NNinit (paper Algorithm 3): the nearest-neighbour initial search.
   *
@@ -18,21 +17,6 @@ import repro.semantics.CategoryForest
   * final leg to the destination is added to each seeded route's length).
   */
 object NNInit {
-
-  /** Convenience wrapper for a plain category-sequence query. */
-  def run(
-      g: RoadGraph,
-      forest: CategoryForest,
-      query: Query,
-      sky: SkylineSet,
-      metrics: SearchMetrics = null,
-  ): Vector[SRoute] = {
-    val simPos = query.categories.toArray.map(c =>
-      PositionSpec.simTable(forest, PositionSpec.simple(c)))
-    val distToDest = query.destination.map(d =>
-      repro.graph.Dijkstra.fromSource(g.transpose, d, metrics = metrics))
-    runTables(g, simPos, query.start, distToDest, sky, metrics)
-  }
 
   /** Routes found, in discovery order (`sky` is updated in place). */
   def runTables(
@@ -51,14 +35,6 @@ object NNInit {
     def simOf(i: Int, v: Int): Double = {
       val c = g.poiCategory(v)
       if (c < 0) 0.0 else simPos(i)(c)
-    }
-
-    /** Append the destination leg (if any); None if the dest is unreachable. */
-    def sealed_(r: SRoute): Option[SRoute] = distToDest match {
-      case None => Some(r)
-      case Some(dd) =>
-        val leg = dd(r.end)
-        if (leg.isInfinity) None else Some(SRoute(r.pois, r.length + leg, r.simProduct))
     }
 
     var i = 0
@@ -84,7 +60,7 @@ object NNInit {
           nns.get(rank) match {
             case Some((p, d)) =>
               val s = simOf(i, p)
-              sealed_(route.extend(p, d, s)).foreach { r =>
+              route.extend(p, d, s).toDestination(distToDest).foreach { r =>
                 found += r
                 sky.update(r)
               }

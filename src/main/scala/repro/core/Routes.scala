@@ -1,5 +1,8 @@
 package repro.core
 
+import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
+import repro.semantics.CategoryForest
+
 import scala.collection.mutable
 
 /** A SkySR query: a start vertex and a sequence of category ids (Def. 4.2).
@@ -10,6 +13,7 @@ import scala.collection.mutable
 final case class Query(start: Int, categories: Vector[Int],
                        destination: Option[Int] = None) {
   def size: Int = categories.size
+  def specs: Vector[PositionSpec] = categories.map(PositionSpec.simple)
   override def toString: String =
     s"Query(v=$start, S=${categories.mkString("<", ",", ">")}" +
       destination.fold("")(d => s", dest=$d") + ")"
@@ -27,12 +31,61 @@ final case class PositionSpec(anyOf: Vector[Int], noneOf: Set[Int] = Set.empty) 
 object PositionSpec {
   def simple(c: Int): PositionSpec = PositionSpec(Vector(c))
 
-  /** Per-category similarity table for a spec (0 for negated categories). */
-  def simTable(forest: repro.semantics.CategoryForest, spec: PositionSpec): Array[Double] =
+  /** Per-category similarity table for a spec (0 for negated categories):
+    * the semantic hierarchy filter of one query position (Eq. 6/7). Every
+    * similarity table of the search paths is built here.
+    */
+  def simTable(forest: CategoryForest, spec: PositionSpec): Array[Double] = {
+    (spec.anyOf ++ spec.noneOf).foreach(c =>
+      require(c >= 0 && c < forest.size, s"category id $c out of range [0, ${forest.size})"))
     Array.tabulate(forest.size) { c =>
       if (spec.noneOf.contains(c)) 0.0
       else spec.anyOf.map(a => forest.sim(a, c)).max
     }
+  }
+}
+
+/** What a query's positions and destination become before any search
+  * starts; shared by `Bssr`, `BulkSkySRSpark` and their NNinit and
+  * lower-bound phases.
+  *
+  *  - `simPos(i)`: position `i`'s similarity table.
+  *  - `overlapping(i)`: some other position matches a category that position
+  *    `i` matches and that PoIs carry, so both can match the same PoI and the
+  *    route's used-PoI set constrains them (Def. 3.4-iii). Bssr then switches
+  *    Lemma 5.5 off at `i`: the at-least-as-similar substitute may already be
+  *    on the route, and the lemma only prunes, so exactness holds. The Spark
+  *    pipeline keys its per-end skyline on the used set. Paper workloads use
+  *    distinct trees (§7.1), so nothing overlaps.
+  *  - `distToDest`: §6 destination variation, the distance from every vertex
+  *    *to* the destination (the transpose handles directed graphs).
+  */
+final class QuerySetup(
+    val simPos: Array[Array[Double]],
+    val overlapping: Array[Boolean],
+    val distToDest: Option[Array[Double]],
+)
+
+object QuerySetup {
+
+  /** Validates the start and destination vertices and (through `simTable`)
+    * every category id, then builds the setup. The destination search is
+    * counted in `metrics`.
+    */
+  def apply(g: RoadGraph, forest: CategoryForest, start: Int,
+            specs: Vector[PositionSpec], destination: Option[Int],
+            metrics: SearchMetrics = null): QuerySetup = {
+    g.requireVertex(start, "start")
+    destination.foreach(g.requireVertex(_, "destination"))
+    val simPos = specs.toArray.map(PositionSpec.simTable(forest, _))
+    val present = g.poisByCategory.keys
+    val matchSets = simPos.map(t => present.filter(c => t(c) > 0.0).toSet)
+    val overlapping = Array.tabulate(simPos.length) { i =>
+      simPos.indices.exists(j => j != i && matchSets(i).intersect(matchSets(j)).nonEmpty)
+    }
+    new QuerySetup(simPos, overlapping, destination.map(d =>
+      Dijkstra.fromSource(g.transpose, d, metrics = metrics)))
+  }
 }
 
 /** A (possibly partial) route: the PoI vertices visited so far, the length
@@ -53,6 +106,17 @@ final case class SRoute(pois: Vector[Int], length: Double, simProduct: Double) {
   def contains(p: Int): Boolean = pois.contains(p)
   def extend(p: Int, legDist: Double, sim: Double): SRoute =
     SRoute(pois :+ p, length + legDist, simProduct * sim)
+
+  /** The finished route with the §6 destination leg added (`distToDest` as in
+    * [[QuerySetup]]); None if its last PoI cannot reach the destination.
+    */
+  def toDestination(distToDest: Option[Array[Double]]): Option[SRoute] = distToDest match {
+    case None => Some(this)
+    case Some(dd) =>
+      val leg = dd(end)
+      if (leg.isInfinity) None else Some(copy(length = length + leg))
+  }
+
   override def toString: String =
     f"SRoute(${pois.mkString("<", ",", ">")}, l=$length%.3f, s=$semScore%.3f)"
 }

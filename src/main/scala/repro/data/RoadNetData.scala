@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -94,6 +95,24 @@ object RoadNetData {
     }
 
     RoadGraph.fromEdges(total, edges.toSeq, poiCategory, xs, ys)
+  }
+
+  /** Road network + PoI schema for the SkySR paper (EDBT'18): vertices
+    * `(vertex, x, y)`, undirected edges `(src, dst, weight)` and PoIs
+    * `(poi, category)` over the Foursquare-like category forest. SF=1.0 is
+    * roughly the paper's Tokyo map (~400k road vertices, ~174k PoIs);
+    * tests use sf<=0.001, benchmarks ~0.01. Deterministic in (sf, seed).
+    */
+  def roadNetwork(spark: SparkSession, sf: Double = 0.001, seed: Long = 42)
+      : (DataFrame, DataFrame, DataFrame) = {
+    val g = generate(RoadNetSpec(
+      name = s"sf$sf",
+      nRoadVertices = math.max(50, (400000 * sf).toInt),
+      nPois = math.max(20, (174000 * sf).toInt),
+      roadEdgeFactor = 1.15,
+      forest = CategoryForest.foursquareLike,
+      seed = seed))
+    g.toDataFrames(spark)
   }
 
   /** Zipf-skewed category draw over the forest's non-root categories, in a

@@ -13,11 +13,6 @@ final class SearchMetrics extends Serializable {
   var settled: Long    = 0L
   var relaxed: Long    = 0L
   var weightSum: Double = 0.0
-
-  def reset(): Unit = { settled = 0; relaxed = 0; weightSum = 0.0 }
-  def add(o: SearchMetrics): Unit = {
-    settled += o.settled; relaxed += o.relaxed; weightSum += o.weightSum
-  }
 }
 
 private[graph] final case class HeapEntry(dist: Double, vertex: Int, origin: Int)

@@ -34,6 +34,10 @@ final class RoadGraph(
 
   def isPoi(v: Int): Boolean = poiCategory(v) >= 0
 
+  /** Input check at the query API boundary: `v` must be a vertex id. */
+  def requireVertex(v: Int, role: String): Unit =
+    require(v >= 0 && v < numVertices, s"$role vertex $v out of range [0, $numVertices)")
+
   /** Number of directed adjacency entries (2× undirected edge count). */
   def numDirectedEdges: Int = adjVertex.length
 

@@ -96,19 +96,6 @@ final class CategoryForest private (
   def simLevels(c: Int, present: Iterable[Int]): Seq[Double] =
     present.iterator.map(sim(c, _)).filter(_ > 0.0).toSeq.distinct.sorted.reverse
 
-  /** Largest similarity strictly below 1 realizable against `c` among
-    * `present` categories; 0 if only perfect matches (or none) exist.
-    * Feeds δ, the minimum semantic-score increment of Lemma 5.8.
-    */
-  def maxNonPerfectSim(c: Int, present: Iterable[Int]): Double = {
-    var m = 0.0
-    for (p <- present) {
-      val s = sim(c, p)
-      if (s < 1.0 && s > m) m = s
-    }
-    m
-  }
-
   def nameOf(c: Int): String = names(c)
   def idOf(name: String): Int = {
     val i = names.indexOf(name)

@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{Bssr, BulkSkySRSpark, Query}
-import repro.data.{Datasets, PaperExample, Workload}
+import repro.data.{Datasets, PaperExample, RoadNetData, Workload}
 import repro.graph.{Dijkstra, RoadGraph}
 import repro.semantics.CategoryForest
 
@@ -93,7 +93,7 @@ class OracleSkylineSpec extends SparkSpec {
   }
 
   test("generated road-network DataFrames agree with DuckDB aggregates") {
-    val (v, e, p) = SynthData.roadNetwork(spark, sf = 0.0004, seed = 3)
+    val (v, e, p) = RoadNetData.roadNetwork(spark, sf = 0.0004, seed = 3)
     import org.apache.spark.sql.functions._
     val agg = e.agg(
       count(lit(1)) as "cnt",

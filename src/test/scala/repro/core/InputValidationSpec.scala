@@ -1,0 +1,50 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.baselines.{BaselineMetrics, IterativeOsr}
+import repro.data.{Datasets, Workload}
+import repro.semantics.CategoryForest
+
+/** Out-of-range start vertices, destinations and category ids fail at the
+  * API boundary of each entry point with an `IllegalArgumentException` that
+  * names the bad value, instead of deep inside a search.
+  */
+class InputValidationSpec extends SparkSpec {
+
+  private val forest = CategoryForest.foursquareLike
+  private val g      = Datasets.tiny(1)
+  private val q      = Workload.queries(g, forest, 1, 2, 5L, minPois = 1).head
+
+  private val badStart = g.numVertices + 5
+  private val badDest  = -7
+  private val badCat   = forest.size + 3
+
+  private val entryPoints: Seq[(String, Query => Unit)] = Seq(
+    "Bssr.run"            -> (query => new Bssr(g, forest).run(query)),
+    "BulkSkySRSpark.run"  -> (query => BulkSkySRSpark.run(spark, g, forest, query)),
+    "IterativeOsr.skySR"  -> (query =>
+      IterativeOsr.skySR(g, forest, query, useDij = true, new BaselineMetrics)),
+  )
+
+  private def assertRejects(query: Query, bad: Int, run: Query => Unit): Unit = {
+    val e = intercept[IllegalArgumentException](run(query))
+    assert(e.getMessage.contains(bad.toString), e.getMessage)
+  }
+
+  for ((name, run) <- entryPoints) {
+    test(s"$name rejects an out-of-range start vertex") {
+      assertRejects(q.copy(start = badStart), badStart, run)
+    }
+    test(s"$name rejects an out-of-range destination") {
+      assertRejects(q.copy(destination = Some(badDest)), badDest, run)
+    }
+    test(s"$name rejects an out-of-range category id") {
+      assertRejects(q.copy(categories = q.categories :+ badCat), badCat, run)
+    }
+  }
+
+  test("Bssr.runSpecs rejects an out-of-range negated category id") {
+    val specs = Vector(PositionSpec(Vector(q.categories.head), noneOf = Set(badCat)))
+    assertRejects(q, badCat, _ => new Bssr(g, forest).runSpecs(q.start, specs))
+  }
+}

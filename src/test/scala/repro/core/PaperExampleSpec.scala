@@ -14,10 +14,11 @@ import repro.graph.SearchMetrics
 class PaperExampleSpec extends AnyFunSuite {
 
   private val tol = 1e-9
+  private val simPos = QuerySetup(graph, forest, query.start, query.specs, None).simPos
 
   test("Example 5.6: NNinit finds ⟨p2,p5,p7⟩ then ⟨p2,p5,p8⟩ with length 15") {
     val sky = new SkylineSet
-    val found = NNInit.run(graph, forest, query, sky, new SearchMetrics)
+    val found = NNInit.runTables(graph, simPos, query.start, None, sky, new SearchMetrics)
     val got = found.map(r => (r.pois, r.length, r.semScore))
     assert(got.size == expectedInitRoutes.size)
     got.zip(expectedInitRoutes).foreach { case ((p, l, s), (ep, el, es)) =>
@@ -29,7 +30,7 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("Example 5.10: semantic-match minimum distances l_s = (2, 1) via p6→p9 and p12→p13") {
-    val (legS, _) = LowerBounds.legs(graph, forest, query, 15.0)
+    val (legS, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
     assert(legS.slice(1, 3).toSeq == Seq(2.0, 1.0))
   }
 
@@ -38,7 +39,7 @@ class PaperExampleSpec extends AnyFunSuite {
     // position i+1. The example's A&E tree is a single node, so every A&E
     // PoI is a perfect match and l_p coincides with l_s here — the paper's
     // prose states (3, 1) for its unpublished weights (see EXPERIMENTS.md).
-    val (legS, legP) = LowerBounds.legs(graph, forest, query, 15.0)
+    val (legS, legP) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
     assert(legP.slice(1, 3).toSeq == Seq(2.0, 1.0))
     (1 to 2).foreach(i => assert(legP(i) >= legS(i)))
   }

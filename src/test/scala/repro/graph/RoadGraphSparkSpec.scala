@@ -1,7 +1,7 @@
 package repro.graph
 
-import repro.{SparkSpec, SynthData}
-import repro.data.Datasets
+import repro.SparkSpec
+import repro.data.{Datasets, RoadNetData}
 
 /** DataFrame round-trip + the distributed PoI-graph builder. */
 class RoadGraphSparkSpec extends SparkSpec {
@@ -23,8 +23,8 @@ class RoadGraphSparkSpec extends SparkSpec {
     }
   }
 
-  test("SynthData.roadNetwork produces a consistent graph at small SF") {
-    val (v, e, p) = SynthData.roadNetwork(spark, sf = 0.0005, seed = 9)
+  test("RoadNetData.roadNetwork produces a consistent graph at small SF") {
+    val (v, e, p) = RoadNetData.roadNetwork(spark, sf = 0.0005, seed = 9)
     val g = RoadGraph.fromDataFrames(v, e, p)
     assert(RoadGraph.isConnected(g))
     assert(g.numPois > 0)
