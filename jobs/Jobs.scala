@@ -10,7 +10,7 @@ import repro.spark.DistributedQueryRunner
   */
 private object JobSession {
   def local(name: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{RoadGraph, SearchMetrics}
+import repro.graph.{MinHeap, RoadGraph, SearchMetrics}
 import repro.semantics.CategoryForest
 
 import scala.collection.mutable
@@ -54,8 +54,10 @@ final case class BssrResult(skyline: Vector[SRoute], metrics: BssrMetrics)
   * kept one (Theorem 3) — cross-checked against exhaustive enumeration in
   * the test suite.
   *
-  * One instance per graph; scratch arrays are reused across queries (call
-  * `run` sequentially per instance).
+  * One instance per graph and thread: the modified Dijkstra's scratch state
+  * (the stamped `dist`/`simPath`/settled arrays and its `MinHeap`) belongs to
+  * the instance and is reused across queries, so `run` calls on one instance
+  * must not overlap.
   */
 final class Bssr(
     val g: RoadGraph,
@@ -71,6 +73,7 @@ final class Bssr(
   private val stampArr = new Array[Int](g.numVertices)
   private val settledArr = new Array[Int](g.numVertices)
   private var stamp    = 0
+  private val pq       = new MinHeap(1024)
 
   /** Categories that actually occur on PoIs — for δ of Lemma 5.8. */
   private val presentCats: Array[Int] = g.poisByCategory.keys.toArray
@@ -163,11 +166,18 @@ final class Bssr(
     // ---- Optimization 2: route priority (§5.3.2) -------------------------
     // Proposed: largest size first, then smallest semantic lower bound, then
     // smallest length. Conventional: smallest length (distance-based).
+    // Comparisons are those of the 2.13 implicit Int/Double orderings
+    // (`Integer.compare`, `java.lang.Double.compare`), without boxing.
     val ord: Ordering[SRoute] =
-      if (opts.proposedQueue)
-        Ordering.by((r: SRoute) => (-r.size, r.semScore, r.length)).reverse
-      else
-        Ordering.by((r: SRoute) => r.length).reverse
+      if (opts.proposedQueue) (a: SRoute, b: SRoute) => {
+        val bySize = Integer.compare(-b.size, -a.size)
+        if (bySize != 0) bySize
+        else {
+          val bySem = java.lang.Double.compare(b.semScore, a.semScore)
+          if (bySem != 0) bySem else java.lang.Double.compare(b.length, a.length)
+        }
+      }
+      else (a: SRoute, b: SRoute) => java.lang.Double.compare(b.length, a.length)
     val qb = mutable.PriorityQueue.empty[SRoute](ord)
 
     def enqueue(r: SRoute): Unit = {
@@ -223,13 +233,14 @@ final class Bssr(
 
           stamp += 1
           val st = stamp
-          val pq = mutable.PriorityQueue.empty[(Double, Int)](
-            Ordering.by((e: (Double, Int)) => e._1).reverse)
+          pq.clear()
           dist(src) = 0.0; simPath(src) = 0.0; stampArr(src) = st
-          pq.enqueue((0.0, src))
+          pq.push(0.0, src, src)
           var break = false
           while (pq.nonEmpty && !break) {
-            val (d, u) = pq.dequeue()
+            val d = pq.minKey
+            val u = pq.minVertex
+            pq.pop()
             if (settledArr(u) != st) {
               val rad = radiusNow()
               // On break, everything strictly below the breaking entry's
@@ -257,7 +268,7 @@ final class Bssr(
                     val nd = d + w
                     if (stampArr(v) != st || nd < dist(v)) {
                       dist(v) = nd; simPath(v) = sp; stampArr(v) = st
-                      pq.enqueue((nd, v))
+                      pq.push(nd, v, src)
                     }
                     i += 1
                   }

@@ -15,17 +15,13 @@ final class SearchMetrics extends Serializable {
   var weightSum: Double = 0.0
 }
 
-private[graph] final case class HeapEntry(dist: Double, vertex: Int, origin: Int)
-
-private[graph] object HeapEntry {
-  implicit val byDist: Ordering[HeapEntry] =
-    Ordering.by[HeapEntry, Double](_.dist).reverse // scala PQ is a max-heap
-}
-
 /** Classic Dijkstra variants over [[RoadGraph]]. The modified Dijkstra of the
   * paper's Algorithm 2 lives in `repro.core.Bssr` (it needs route state); the
   * plain searches here back NNinit, the lower-bound estimation (Lemma 5.9)
-  * and the Spark PoI-graph builder.
+  * and the Spark PoI-graph builder. All of them queue vertices in a fresh
+  * [[MinHeap]] (lazy deletion: a vertex may be queued more than once and is
+  * settled at its first pop), so equal-distance ties resolve exactly as in
+  * `mutable.PriorityQueue`; each call still allocates its O(|V|) label arrays.
   */
 object Dijkstra {
 
@@ -44,14 +40,15 @@ object Dijkstra {
   ): Array[Double] = {
     val dist = Array.fill(g.numVertices)(Inf)
     val done = new Array[Boolean](g.numVertices)
-    val pq   = mutable.PriorityQueue.empty[HeapEntry]
+    val pq   = new MinHeap
     dist(source) = 0.0
-    pq.enqueue(HeapEntry(0.0, source, source))
+    pq.push(0.0, source, source)
     while (pq.nonEmpty) {
-      val e = pq.dequeue()
-      val u = e.vertex
+      val d = pq.minKey
+      val u = pq.minVertex
+      pq.pop()
       if (!done(u)) {
-        if (e.dist > maxDist) { pq.clear() }
+        if (d > maxDist) pq.clear()
         else {
           done(u) = true
           if (metrics != null) metrics.settled += 1
@@ -60,8 +57,8 @@ object Dijkstra {
             val v = g.adjVertex(i)
             val w = g.adjWeight(i)
             if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
-            val nd = e.dist + w
-            if (nd < dist(v)) { dist(v) = nd; pq.enqueue(HeapEntry(nd, v, source)) }
+            val nd = d + w
+            if (nd < dist(v)) { dist(v) = nd; pq.push(nd, v, source) }
             i += 1
           }
         }
@@ -89,24 +86,26 @@ object Dijkstra {
     if (sources.isEmpty) return Inf
     val origin1 = Array.fill(g.numVertices)(-1)
     val origin2 = Array.fill(g.numVertices)(-1)
-    val pq      = mutable.PriorityQueue.empty[HeapEntry]
-    sources.foreach(s => pq.enqueue(HeapEntry(0.0, s, s)))
+    val pq      = new MinHeap(math.max(64, sources.length))
+    sources.foreach(s => pq.push(0.0, s, s))
     while (pq.nonEmpty) {
-      val e = pq.dequeue()
-      val u = e.vertex
-      if (e.dist > bound) return Inf
+      val d      = pq.minKey
+      val u      = pq.minVertex
+      val origin = pq.minOrigin
+      pq.pop()
+      if (d > bound) return Inf
       val fresh = origin1(u) < 0 ||
-        (origin2(u) < 0 && origin1(u) != e.origin)
+        (origin2(u) < 0 && origin1(u) != origin)
       if (fresh) {
-        if (origin1(u) < 0) origin1(u) = e.origin else origin2(u) = e.origin
+        if (origin1(u) < 0) origin1(u) = origin else origin2(u) = origin
         if (metrics != null) metrics.settled += 1
-        if (isDest(u) && e.origin != u) return e.dist
+        if (isDest(u) && origin != u) return d
         var i = g.adjIndex(u)
         while (i < g.adjIndex(u + 1)) {
           val v = g.adjVertex(i)
           val w = g.adjWeight(i)
           if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
-          if (origin2(v) < 0) pq.enqueue(HeapEntry(e.dist + w, v, e.origin))
+          if (origin2(v) < 0) pq.push(d + w, v, origin)
           i += 1
         }
       }
@@ -119,21 +118,22 @@ object Dijkstra {
     if (a == b) return 0.0
     val dist = Array.fill(g.numVertices)(Inf)
     val done = new Array[Boolean](g.numVertices)
-    val pq   = mutable.PriorityQueue.empty[HeapEntry]
+    val pq   = new MinHeap
     dist(a) = 0.0
-    pq.enqueue(HeapEntry(0.0, a, a))
+    pq.push(0.0, a, a)
     while (pq.nonEmpty) {
-      val e = pq.dequeue()
-      val u = e.vertex
-      if (e.dist > maxDist) return Inf
+      val d = pq.minKey
+      val u = pq.minVertex
+      pq.pop()
+      if (d > maxDist) return Inf
       if (!done(u)) {
         done(u) = true
-        if (u == b) return e.dist
+        if (u == b) return d
         var i = g.adjIndex(u)
         while (i < g.adjIndex(u + 1)) {
           val v  = g.adjVertex(i)
-          val nd = e.dist + g.adjWeight(i)
-          if (nd < dist(v)) { dist(v) = nd; pq.enqueue(HeapEntry(nd, v, a)) }
+          val nd = d + g.adjWeight(i)
+          if (nd < dist(v)) { dist(v) = nd; pq.push(nd, v, a) }
           i += 1
         }
       }
@@ -158,12 +158,12 @@ final class NearestNeighborSearch(
   // PNE memory model of Table 6 reflect what the search actually retains.
   private val dist = mutable.HashMap.empty[Int, Double]
   private val done = mutable.HashSet.empty[Int]
-  private val pq   = mutable.PriorityQueue.empty[HeapEntry]
+  private val pq   = new MinHeap(8) // PNE keeps many searches alive
   private val found = mutable.ArrayBuffer.empty[(Int, Double)]
   private var exhausted = false
 
   dist(source) = 0.0
-  pq.enqueue(HeapEntry(0.0, source, source))
+  pq.push(0.0, source, source)
 
   /** Rough retained bytes of this search's live state (Table 6 model). */
   def stateBytes: Long = 48L * dist.size + 32L * done.size + 24L * found.size
@@ -180,20 +180,21 @@ final class NearestNeighborSearch(
   private def advance(): Unit = {
     var produced = false
     while (!produced && pq.nonEmpty) {
-      val e = pq.dequeue()
-      val u = e.vertex
+      val d = pq.minKey
+      val u = pq.minVertex
+      pq.pop()
       if (!done.contains(u)) {
         done += u
         if (metrics != null) metrics.settled += 1
-        if (matches(u)) { found += ((u, e.dist)); produced = true }
+        if (matches(u)) { found += ((u, d)); produced = true }
         var i = g.adjIndex(u)
         while (i < g.adjIndex(u + 1)) {
           val v  = g.adjVertex(i)
           val w  = g.adjWeight(i)
           if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
-          val nd = e.dist + w
+          val nd = d + w
           if (nd < dist.getOrElse(v, Dijkstra.Inf)) {
-            dist(v) = nd; pq.enqueue(HeapEntry(nd, v, source))
+            dist(v) = nd; pq.push(nd, v, source)
           }
           i += 1
         }

@@ -13,7 +13,10 @@ import repro.semantics.CategoryForest
   */
 object DistributedQueryRunner {
 
-  /** One row per skyline route: (queryId, rank, pois csv, length, semScore). */
+  /** One row per skyline route: (queryId, rank, pois csv, length, semScore,
+    * exact). `exact` is false when the query hit `opts.maxSettled`: its routes
+    * are then only the skyline found so far, not the exact answer.
+    */
   def run(
       spark: SparkSession,
       g: RoadGraph,
@@ -34,12 +37,13 @@ object DistributedQueryRunner {
       .mapPartitions { it =>
         val bssr = new Bssr(bg.value, bf.value, opts)
         it.flatMap { case (id, start, cats, dest) =>
-          val res = bssr.run(Query(start, cats, dest))
+          val res   = bssr.run(Query(start, cats, dest))
+          val exact = !res.metrics.aborted
           res.skyline.zipWithIndex.map { case (r, rank) =>
-            (id, rank, r.pois.mkString(" "), r.length, r.semScore)
+            (id, rank, r.pois.mkString(" "), r.length, r.semScore, exact)
           }
         }
       }
-      .toDF("queryId", "rank", "pois", "length", "semScore")
+      .toDF("queryId", "rank", "pois", "length", "semScore", "exact")
   }
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.SparkSpec
-import repro.core.Bssr
+import repro.core.{Bssr, BssrOptions}
 import repro.data.{Datasets, Workload}
 import repro.semantics.CategoryForest
 
@@ -13,7 +13,9 @@ class DistributedQueryRunnerSpec extends SparkSpec {
     val g  = Datasets.testSmall
     val qs = Workload.queries(g, forest, 8, 3, 31L, minPois = 3)
     val df = DistributedQueryRunner.run(spark, g, forest, qs)
-    val rows = df.collect().map(r =>
+    val all  = df.collect()
+    assert(all.forall(_.getBoolean(5)), "an uncapped query is exact")
+    val rows = all.map(r =>
       (r.getInt(0), r.getInt(1), r.getString(2), r.getDouble(3), r.getDouble(4)))
     val bssr = new Bssr(g, forest)
     qs.zipWithIndex.foreach { case (q, id) =>
@@ -32,7 +34,7 @@ class DistributedQueryRunnerSpec extends SparkSpec {
     val g  = Datasets.testSmall
     val qs = Workload.queries(g, forest, 3, 2, 5L, minPois = 3)
     val df = DistributedQueryRunner.run(spark, g, forest, qs)
-    assert(df.columns.toSeq == Seq("queryId", "rank", "pois", "length", "semScore"))
+    assert(df.columns.toSeq == Seq("queryId", "rank", "pois", "length", "semScore", "exact"))
     val byQ = df.collect().groupBy(_.getInt(0))
     byQ.values.foreach { rows =>
       val sorted = rows.sortBy(_.getInt(1))
@@ -41,5 +43,17 @@ class DistributedQueryRunnerSpec extends SparkSpec {
       val lens = sorted.map(_.getDouble(3)).toSeq
       assert(lens == lens.sorted)
     }
+  }
+
+  test("budget-capped queries are flagged inexact") {
+    val g      = Datasets.testSmall
+    val qs     = Workload.queries(g, forest, 4, 3, 31L, minPois = 3)
+    val capped = BssrOptions(maxSettled = 10)
+    val rows   = DistributedQueryRunner.run(spark, g, forest, qs, capped).collect()
+    assert(rows.nonEmpty)
+    assert(rows.forall(!_.getBoolean(5)))
+    // the flag is the sequential run's `aborted`, negated
+    val bssr = new Bssr(g, forest, capped)
+    assert(qs.forall(q => bssr.run(q).metrics.aborted))
   }
 }
