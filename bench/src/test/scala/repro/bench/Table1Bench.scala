@@ -6,7 +6,7 @@ import repro.SparkSpec
 class Table1Bench extends SparkSpec {
 
   test("Table 1: NYC ⟨Cupcake Shop, Art Museum, Jazz Club⟩ — shorter semantic alternatives") {
-    val (txt, rows) = Tables.table1(Some(spark))
+    val (txt, rows) = Tables.table1(spark)
     println(txt)
     assert(rows.nonEmpty)
     // skyline order: lengths ascend, semantic scores descend strictly

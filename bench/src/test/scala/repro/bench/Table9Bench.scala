@@ -6,7 +6,7 @@ import repro.SparkSpec
 class Table9Bench extends SparkSpec {
 
   test("Table 9: Tokyo ⟨Beer Garden, Sushi Restaurant, Sake Bar⟩ — Bar-tree substitutions") {
-    val (txt, rows) = Tables.table9(Some(spark))
+    val (txt, rows) = Tables.table9(spark)
     println(txt)
     assert(rows.nonEmpty)
     assert(rows.last.sem == 0.0) // perfect route present

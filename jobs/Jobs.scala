@@ -24,7 +24,7 @@ private object JobSession {
 object Table1Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local("skysr-table1")
-    println(Tables.table1(Some(spark))._1)
+    println(Tables.table1(spark)._1)
     spark.stop()
   }
 }
@@ -58,7 +58,7 @@ object Table8Job {
 object Table9Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local("skysr-table9")
-    println(Tables.table9(Some(spark))._1)
+    println(Tables.table9(spark)._1)
     spark.stop()
   }
 }

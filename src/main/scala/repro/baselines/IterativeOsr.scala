@@ -47,6 +47,7 @@ object IterativeOsr {
       maxSettled: Long = Long.MaxValue,
   ): Vector[SRoute] = {
     val t0 = System.nanoTime()
+    require(query.size >= 1, "empty category sequence")
     g.requireVertex(query.start, "start")
     query.destination.foreach(g.requireVertex(_, "destination"))
     val simTables = query.specs.map(PositionSpec.simTable(forest, _)) // checks category ids

@@ -88,15 +88,15 @@ object OsrDijkstra {
   */
 object OsrPne {
 
-  /** Resumable NN searches shared across routes (and across the OSR runs of
-    * one SkySR query — sim thresholds do not change the underlying
-    * distance order, but the match predicate does, so the key includes the
-    * position's matcher identity).
+  /** Resumable NN searches shared across the routes of one OSR run, keyed by
+    * source vertex and position (each position has its own match predicate).
+    * `IterativeOsr` gives every run a new pool: the runs' match thresholds
+    * differ.
     */
   final class SearchPool(g: RoadGraph, metrics: BaselineMetrics) {
     private val pool = mutable.HashMap.empty[(Int, Int), NearestNeighborSearch]
-    def of(source: Int, posKey: Int, matcher: PositionMatcher): NearestNeighborSearch = {
-      val nns = pool.getOrElseUpdate((source, posKey),
+    def of(source: Int, pos: Int, matcher: PositionMatcher): NearestNeighborSearch = {
+      val nns = pool.getOrElseUpdate((source, pos),
         new NearestNeighborSearch(g, source, v => matcher.matches(g.poiCategory(v)), metrics.search))
       if (pool.size > metrics.liveNnSearches) metrics.liveNnSearches = pool.size
       nns
@@ -110,25 +110,9 @@ object OsrPne {
       matchers: Array[PositionMatcher],
       metrics: BaselineMetrics,
       maxSettled: Long = Long.MaxValue,
-      sharedPool: SearchPool = null,
-      poolKeyOffset: Int = 0,
   ): Option[SRoute] = {
     val k    = matchers.length
-    val pool = if (sharedPool != null) sharedPool else new SearchPool(g, metrics)
-    try osrImpl(g, start, matchers, metrics, maxSettled, pool, poolKeyOffset, k)
-    finally metrics.peakNnBytes = math.max(metrics.peakNnBytes, pool.totalBytes)
-  }
-
-  private def osrImpl(
-      g: RoadGraph,
-      start: Int,
-      matchers: Array[PositionMatcher],
-      metrics: BaselineMetrics,
-      maxSettled: Long,
-      pool: SearchPool,
-      poolKeyOffset: Int,
-      k: Int,
-  ): Option[SRoute] = {
+    val pool = new SearchPool(g, metrics)
 
     // Entry: partial route, the NN rank its last PoI was drawn at and the
     // route it extends (for sibling generation).
@@ -138,7 +122,7 @@ object OsrPne {
 
     /** First NN rank >= from whose PoI is not already on `route`. */
     def nextValid(source: Int, pos: Int, exclude: SRoute, from: Int): Option[(Int, Int, Double)] = {
-      val nns = pool.of(source, poolKeyOffset + pos, matchers(pos))
+      val nns = pool.of(source, pos, matchers(pos))
       var r = from
       while (true) {
         if (metrics.search.settled > maxSettled) throw new BudgetExceeded
@@ -162,15 +146,17 @@ object OsrPne {
       }
     }
 
-    pushExtension(SRoute.empty, 0)
-    while (pq.nonEmpty) {
-      val e = pq.dequeue()
-      if (e.route.size == k) return Some(e.route)
-      // child: first valid NN for the next position
-      pushExtension(e.route, 0)
-      // sibling: the parent's next valid NN after this route's rank
-      pushExtension(e.parent, e.rank + 1)
-    }
-    None
+    try {
+      pushExtension(SRoute.empty, 0)
+      while (pq.nonEmpty) {
+        val e = pq.dequeue()
+        if (e.route.size == k) return Some(e.route)
+        // child: first valid NN for the next position
+        pushExtension(e.route, 0)
+        // sibling: the parent's next valid NN after this route's rank
+        pushExtension(e.parent, e.rank + 1)
+      }
+      None
+    } finally metrics.peakNnBytes = math.max(metrics.peakNnBytes, pool.totalBytes)
   }
 }

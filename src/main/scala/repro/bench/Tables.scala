@@ -48,8 +48,8 @@ object Tables {
     * no threshold and relaxes the whole graph (2·Σw), regardless of |Sq| —
     * exactly the paper's "Existing ... (regardless |Sq|)" row.
     */
-  def table7(lens: Seq[Int] = 2 to 5, queriesPer: Int = 10, seed: Long = 7L)
-      : (String, Seq[T7Row]) = {
+  def table7(): (String, Seq[T7Row]) = {
+    val (lens, queriesPer, seed) = (2 to 5, 10, 7L)
     val rows = for {
       (name, g, forest) <- Datasets.all
       len <- lens
@@ -79,8 +79,8 @@ object Tables {
   /** Table 8: vertices visited with the proposed priority queue vs a
     * conventional distance-based one.
     */
-  def table8(lens: Seq[Int] = 2 to 5, queriesPer: Int = 6, seed: Long = 8L)
-      : (String, Seq[T8Row]) = {
+  def table8(): (String, Seq[T8Row]) = {
+    val (lens, queriesPer, seed) = (2 to 5, 6, 8L)
     val rows = for {
       (name, g, forest) <- Datasets.all
       len <- lens
@@ -109,8 +109,8 @@ object Tables {
     * paper highlights — Dij's queue carries whole routes and dwarfs
     * BSSR's/PNE's — shows up in the `peak routes` column.
     */
-  def table6(queriesPer: Int = 2, seed: Long = 6L, cap: Long = 10_000_000L)
-      : (String, Seq[T6Row]) = {
+  def table6(): (String, Seq[T6Row]) = {
+    val (queriesPer, seed, cap) = (2, 6L, 10_000_000L)
     val rows = Datasets.all.flatMap { case (name, g, forest) =>
       val qs = Workload.queries(g, forest, queriesPer, 4, seed, minPois = 10)
       val gBytes  = BenchUtil.graphBytes(g)
@@ -152,8 +152,8 @@ object Tables {
     * SkySRs, per dataset and |Sq|. Budget-capped baselines report `>cap`
     * (the paper's runs that "were not finished after a month").
     */
-  def responseTime(lens: Seq[Int] = 2 to 5, queriesPer: Int = 2, seed: Long = 3L,
-                   cap: Long = 10_000_000L): (String, Seq[RtRow]) = {
+  def responseTime(): (String, Seq[RtRow]) = {
+    val (lens, queriesPer, seed, cap) = (2 to 5, 2, 3L, 10_000_000L)
     // JIT warmup so the first measured cell is not dominated by compilation
     locally {
       val (_, g, forest) = Datasets.all.head
@@ -200,15 +200,15 @@ object Tables {
   // -------------------------------------------------------------- T1/T9 --
   final case class RouteRow(meters: Double, names: Seq[String], sem: Double)
 
-  /** A named-category SkySR query answered with the Spark pipeline (when a
-    * session is given) or sequential BSSR; rows mirror Tables 1/9.
+  /** A named-category SkySR query answered with the Spark pipeline; rows
+    * mirror Tables 1/9.
     */
   def namedQuery(
       g: RoadGraph,
       forest: CategoryForest,
       categories: Seq[String],
       startSeed: Long,
-      spark: Option[SparkSession] = None,
+      spark: SparkSession,
   ): (Query, Seq[RouteRow]) = {
     val cats = categories.map(forest.idOf).toVector
     cats.foreach(c => require(g.poisByCategory.contains(c),
@@ -217,21 +217,18 @@ object Tables {
     var start = rnd.nextInt(g.numVertices)
     while (g.isPoi(start)) start = rnd.nextInt(g.numVertices)
     val q = Query(start, cats)
-    val sky = spark match {
-      case Some(s) => BulkSkySRSpark.run(s, g, forest, q)
-      case None    => new Bssr(g, forest).run(q).skyline
-    }
+    val sky = BulkSkySRSpark.run(spark, g, forest, q)
     (q, sky.map(r => RouteRow(r.length * MetersPerDegree,
       r.pois.map(p => forest.nameOf(g.poiCategory(p))), r.semScore)))
   }
 
-  def table1(spark: Option[SparkSession] = None): (String, Seq[RouteRow]) = {
+  def table1(spark: SparkSession): (String, Seq[RouteRow]) = {
     val (_, rows) = namedQuery(Datasets.nycLite, CategoryForest.foursquareLike,
       Seq("Cupcake Shop", "Art Museum", "Jazz Club"), startSeed = 21L, spark)
     (routeTable("Table 1: example SkySRs in NYC ⟨Cupcake Shop, Art Museum, Jazz Club⟩", rows), rows)
   }
 
-  def table9(spark: Option[SparkSession] = None): (String, Seq[RouteRow]) = {
+  def table9(spark: SparkSession): (String, Seq[RouteRow]) = {
     val (_, rows) = namedQuery(Datasets.tokyoLite, CategoryForest.foursquareLike,
       Seq("Beer Garden", "Sushi Restaurant", "Sake Bar"), startSeed = 9L, spark)
     (routeTable("Table 9: example SkySRs in Tokyo ⟨Beer Garden, Sushi Restaurant, Sake Bar⟩", rows), rows)

@@ -78,11 +78,6 @@ final class Bssr(
   /** Categories that actually occur on PoIs — for δ of Lemma 5.8. */
   private val presentCats: Array[Int] = g.poisByCategory.keys.toArray
 
-  private final case class CacheEntry(
-      results: mutable.ArrayBuffer[(Int, Double, Double)], // (poi, dist, sim)
-      radius: Double,
-  )
-
   /** Plain category-sequence query (the paper's §7 setting, plus the §6
     * destination variation when `query.destination` is set).
     */
@@ -99,10 +94,9 @@ final class Bssr(
     val t0      = System.nanoTime()
     val metrics = new BssrMetrics
     val k       = specs.size
-    require(k >= 1, "empty category sequence")
 
     // Similarity tables, Lemma 5.5's overlap switch and the destination
-    // distances (validates the start, destination and category ids).
+    // distances (validates the sequence, start, destination and category ids).
     val setup       = QuerySetup(g, forest, start, specs, destination, metrics.search)
     val simPos      = setup.simPos
     val overlapping = setup.overlapping
@@ -195,7 +189,7 @@ final class Bssr(
     }
 
     // ---- Optimization 4: on-the-fly cache (§5.3.4) -----------------------
-    val cache = mutable.HashMap.empty[Long, CacheEntry]
+    val cache = mutable.HashMap.empty[Long, Bssr.CacheEntry]
     var firstSearch = true
 
     /** Modified Dijkstra (Algorithm 2): find PoIs semantically matching the
@@ -282,7 +276,7 @@ final class Bssr(
           }
           if (opts.useCache) {
             val keep = cache.get(key).forall(_.radius < finalRadius)
-            if (keep) cache(key) = CacheEntry(results, finalRadius)
+            if (keep) cache(key) = Bssr.CacheEntry(results, finalRadius)
           }
       }
     }
@@ -299,4 +293,11 @@ final class Bssr(
     metrics.totalTimeNanos = System.nanoTime() - t0
     BssrResult(sky.all, metrics)
   }
+}
+
+object Bssr {
+  private final case class CacheEntry(
+      results: mutable.ArrayBuffer[(Int, Double, Double)], // (poi, dist, sim)
+      radius: Double,
+  )
 }

@@ -53,29 +53,26 @@ object BulkSkySRSpark {
     val (legS, _) = LowerBounds.legsTables(g, simPos, query.start, l0)
     val lsSuf = LowerBounds.suffixSums(legS)
 
-    // Phase 2: PoI graph restricted to the L0 ball around the start.
-    val matchCats: Array[Set[Int]] = Array.tabulate(k) { i =>
-      forest.categories.filter(c => simPos(i)(c) > 0.0).toSet
-    }
+    // Phase 2: PoI graph restricted to the L0 ball around the start; its
+    // targets are the categories some position matches.
     val dv = Dijkstra.fromSource(g, query.start, l0)
     val sourcePois: Seq[Int] =
       (0 until k - 1).flatMap(i => g.pois.filter { p =>
-        matchCats(i).contains(g.poiCategory(p)) && dv(p) <= l0
+        simPos(i)(g.poiCategory(p)) > 0.0 && dv(p) <= l0
       }).distinct
-    val allTargets = matchCats.reduce(_ ++ _)
+    val targets = forest.categories.filter(c => simPos.exists(_(c) > 0.0)).toSet
     val poiDist = PoiDistances
-      .build(spark, g, query.start +: sourcePois, allTargets, l0)
+      .build(spark, g, query.start +: sourcePois, targets, l0)
       .cache()
 
-    // Per-position similarity table (the semantic hierarchy filter).
-    val posSim = (0 until k).flatMap { i =>
-      forest.categories.collect { case c if simPos(i)(c) > 0.0 => (i, c, simPos(i)(c)) }
-    }.toDF("pos", "cat", "sim")
-    val poiCat = g.pois.map(p => (p, g.poiCategory(p))).toSeq.toDF("poi", "poicat")
-    val posPoi = posSim
-      .join(poiCat, $"cat" === $"poicat")
-      .select($"pos", $"poi", $"sim")
-      .cache()
+    // (pos, poi, sim) for every PoI matching a position: the semantic
+    // hierarchy filter the level joins apply.
+    val posPoi = (for {
+      i <- 0 until k
+      p <- g.pois.toSeq
+      sim = simPos(i)(g.poiCategory(p))
+      if sim > 0.0
+    } yield (i, p, sim)).toDF("pos", "poi", "sim").cache()
 
     // Phase 3: level-synchronous growth.
     var routes: DataFrame = Seq((Array.empty[Int], query.start, 0.0, 1.0))

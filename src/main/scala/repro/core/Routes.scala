@@ -68,13 +68,14 @@ final class QuerySetup(
 
 object QuerySetup {
 
-  /** Validates the start and destination vertices and (through `simTable`)
-    * every category id, then builds the setup. The destination search is
-    * counted in `metrics`.
+  /** Validates the category sequence (non-empty), the start and destination
+    * vertices and (through `simTable`) every category id, then builds the
+    * setup. The destination search is counted in `metrics`.
     */
   def apply(g: RoadGraph, forest: CategoryForest, start: Int,
             specs: Vector[PositionSpec], destination: Option[Int],
             metrics: SearchMetrics = null): QuerySetup = {
+    require(specs.nonEmpty, "empty category sequence")
     g.requireVertex(start, "start")
     destination.foreach(g.requireVertex(_, "destination"))
     val simPos = specs.toArray.map(PositionSpec.simTable(forest, _))

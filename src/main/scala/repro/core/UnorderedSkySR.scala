@@ -18,12 +18,10 @@ object UnorderedSkySR {
       forest: CategoryForest,
       start: Int,
       categories: Vector[Int],
-      opts: BssrOptions = BssrOptions.all,
-      destination: Option[Int] = None,
   ): Vector[SRoute] = {
-    val bssr = new Bssr(g, forest, opts)
+    val bssr = new Bssr(g, forest)
     val all = categories.permutations.toVector.flatMap { order =>
-      bssr.run(Query(start, order, destination)).skyline
+      bssr.run(Query(start, order)).skyline
     }
     Skyline.of(all)
   }

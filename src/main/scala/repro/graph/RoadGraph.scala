@@ -67,31 +67,15 @@ final class RoadGraph(
     * gives distances *to* `d`, which the destination variation needs. A
     * structurally-undirected graph transposes to itself (same distances).
     */
-  lazy val transpose: RoadGraph = {
-    val deg = new Array[Int](numVertices)
-    var u = 0
-    while (u < numVertices) {
-      var i = adjIndex(u)
-      while (i < adjIndex(u + 1)) { deg(adjVertex(i)) += 1; i += 1 }
-      u += 1
-    }
-    val idx = new Array[Int](numVertices + 1)
-    (0 until numVertices).foreach(i => idx(i + 1) = idx(i) + deg(i))
-    val pos = idx.clone()
-    val av  = new Array[Int](numDirectedEdges)
-    val aw  = new Array[Double](numDirectedEdges)
-    u = 0
-    while (u < numVertices) {
-      var i = adjIndex(u)
-      while (i < adjIndex(u + 1)) {
-        val v = adjVertex(i)
-        av(pos(v)) = u; aw(pos(v)) = adjWeight(i); pos(v) += 1
-        i += 1
+  lazy val transpose: RoadGraph =
+    RoadGraph.csr(numVertices, poiCategory, xs, ys) { arc =>
+      var u = 0
+      while (u < numVertices) {
+        var i = adjIndex(u)
+        while (i < adjIndex(u + 1)) { arc(adjVertex(i), u, adjWeight(i)); i += 1 }
+        u += 1
       }
-      u += 1
     }
-    new RoadGraph(numVertices, idx, av, aw, poiCategory, xs, ys)
-  }
 
   /** Vertices, edges and PoIs as DataFrames — the dataflow-facing view of
     * the dataset (each undirected edge appears once, src < dst).
@@ -123,24 +107,10 @@ object RoadGraph {
       xs: Array[Double] = null,
       ys: Array[Double] = null,
   ): RoadGraph = {
-    require(edges.forall { case (u, v, w) =>
-      u >= 0 && u < numVertices && v >= 0 && v < numVertices && w >= 0 && u != v
-    }, "invalid edge")
-    val deg = new Array[Int](numVertices)
-    edges.foreach { case (u, v, _) => deg(u) += 1; deg(v) += 1 }
-    val idx = new Array[Int](numVertices + 1)
-    var i = 0
-    while (i < numVertices) { idx(i + 1) = idx(i) + deg(i); i += 1 }
-    val pos = idx.clone()
-    val av  = new Array[Int](edges.size * 2)
-    val aw  = new Array[Double](edges.size * 2)
-    edges.foreach { case (u, v, w) =>
-      av(pos(u)) = v; aw(pos(u)) = w; pos(u) += 1
-      av(pos(v)) = u; aw(pos(v)) = w; pos(v) += 1
+    requireEdges(numVertices, edges)
+    csr(numVertices, poiCategory.clone(), xs, ys) { arc =>
+      edges.foreach { case (u, v, w) => arc(u, v, w); arc(v, u, w) }
     }
-    val x = if (xs != null) xs else new Array[Double](numVertices)
-    val y = if (ys != null) ys else new Array[Double](numVertices)
-    new RoadGraph(numVertices, idx, av, aw, poiCategory.clone(), x, y)
   }
 
   /** Build a CSR graph from a directed edge list (§6 variation). */
@@ -151,20 +121,35 @@ object RoadGraph {
       xs: Array[Double] = null,
       ys: Array[Double] = null,
   ): RoadGraph = {
+    requireEdges(numVertices, edges)
+    csr(numVertices, poiCategory.clone(), xs, ys) { arc =>
+      edges.foreach { case (u, v, w) => arc(u, v, w) }
+    }
+  }
+
+  private def requireEdges(numVertices: Int, edges: Seq[(Int, Int, Double)]): Unit =
     require(edges.forall { case (u, v, w) =>
       u >= 0 && u < numVertices && v >= 0 && v < numVertices && w >= 0 && u != v
     }, "invalid edge")
-    val deg = new Array[Int](numVertices)
-    edges.foreach { case (u, _, _) => deg(u) += 1 }
-    val idx = new Array[Int](numVertices + 1)
-    (0 until numVertices).foreach(i => idx(i + 1) = idx(i) + deg(i))
+
+  /** The one CSR builder. `arcs` emits every arc `(from, to, weight)` to the
+    * sink it is given; it runs twice, once to count out-degrees and once to
+    * place, so each vertex's arcs keep their emission order — the tie order
+    * of every search over the graph. Null coordinates become zeros.
+    */
+  private def csr(n: Int, cat: Array[Int], xs: Array[Double], ys: Array[Double])(
+      arcs: ((Int, Int, Double) => Unit) => Unit): RoadGraph = {
+    val idx = new Array[Int](n + 1)
+    arcs((u, _, _) => idx(u + 1) += 1)
+    var i = 0
+    while (i < n) { idx(i + 1) += idx(i); i += 1 }
     val pos = idx.clone()
-    val av  = new Array[Int](edges.size)
-    val aw  = new Array[Double](edges.size)
-    edges.foreach { case (u, v, w) => av(pos(u)) = v; aw(pos(u)) = w; pos(u) += 1 }
-    val x = if (xs != null) xs else new Array[Double](numVertices)
-    val y = if (ys != null) ys else new Array[Double](numVertices)
-    new RoadGraph(numVertices, idx, av, aw, poiCategory.clone(), x, y)
+    val av  = new Array[Int](idx(n))
+    val aw  = new Array[Double](idx(n))
+    arcs { (u, v, w) => av(pos(u)) = v; aw(pos(u)) = w; pos(u) += 1 }
+    new RoadGraph(n, idx, av, aw, cat,
+      if (xs != null) xs else new Array[Double](n),
+      if (ys != null) ys else new Array[Double](n))
   }
 
   /** Rebuild a graph from its DataFrame form (inverse of `toDataFrames`). */

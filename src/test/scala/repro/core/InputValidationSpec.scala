@@ -5,9 +5,10 @@ import repro.baselines.{BaselineMetrics, IterativeOsr}
 import repro.data.{Datasets, Workload}
 import repro.semantics.CategoryForest
 
-/** Out-of-range start vertices, destinations and category ids fail at the
-  * API boundary of each entry point with an `IllegalArgumentException` that
-  * names the bad value, instead of deep inside a search.
+/** Empty category sequences and out-of-range start vertices, destinations
+  * and category ids fail at the API boundary of each entry point with an
+  * `IllegalArgumentException` that names the bad value, instead of deep
+  * inside a search.
   */
 class InputValidationSpec extends SparkSpec {
 
@@ -41,6 +42,14 @@ class InputValidationSpec extends SparkSpec {
     test(s"$name rejects an out-of-range category id") {
       assertRejects(q.copy(categories = q.categories :+ badCat), badCat, run)
     }
+  }
+
+  private val pne: (String, Query => Unit) = "IterativeOsr.skySR (PNE)" -> (query =>
+    IterativeOsr.skySR(g, forest, query, useDij = false, new BaselineMetrics))
+
+  for ((name, run) <- entryPoints :+ pne) test(s"$name rejects an empty category sequence") {
+    val e = intercept[IllegalArgumentException](run(q.copy(categories = Vector.empty)))
+    assert(e.getMessage.contains("empty category sequence"), e.getMessage)
   }
 
   test("Bssr.runSpecs rejects an out-of-range negated category id") {
