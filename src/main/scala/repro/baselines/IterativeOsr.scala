@@ -36,7 +36,8 @@ object IterativeOsr {
 
   /** Exact SkySR via iterated OSR. `useDij` picks the Dijkstra-based OSR
     * solver, otherwise PNE. Budget caps mark the run `aborted` (the paper's
-    * "not finished after a month" bars).
+    * "not finished after a month" bars). The OSR solvers have no final leg,
+    * so a query with a destination is rejected.
     */
   def skySR(
       g: RoadGraph,
@@ -50,6 +51,8 @@ object IterativeOsr {
     require(query.size >= 1, "empty category sequence")
     g.requireVertex(query.start, "start")
     query.destination.foreach(g.requireVertex(_, "destination"))
+    require(query.destination.isEmpty,
+      s"iterated OSR answers only queries without a destination (got destination ${query.destination.get})")
     val simTables = query.specs.map(PositionSpec.simTable(forest, _)) // checks category ids
     val levels    = simLevels(g, forest, query)
     val k         = query.size

@@ -19,7 +19,6 @@ final case class PositionMatcher(minSim: Double, sims: Array[Double]) {
 final class BaselineMetrics {
   val search = new SearchMetrics
   var peakQueueSize: Int = 0
-  var liveNnSearches: Int = 0 // PNE: resumable Dijkstras held live (memory model)
   var peakNnBytes: Long = 0L  // PNE: peak retained bytes of the live NN searches
   var osrRuns: Long = 0L
   var totalTimeNanos: Long = 0L
@@ -95,12 +94,9 @@ object OsrPne {
     */
   final class SearchPool(g: RoadGraph, metrics: BaselineMetrics) {
     private val pool = mutable.HashMap.empty[(Int, Int), NearestNeighborSearch]
-    def of(source: Int, pos: Int, matcher: PositionMatcher): NearestNeighborSearch = {
-      val nns = pool.getOrElseUpdate((source, pos),
+    def of(source: Int, pos: Int, matcher: PositionMatcher): NearestNeighborSearch =
+      pool.getOrElseUpdate((source, pos),
         new NearestNeighborSearch(g, source, v => matcher.matches(g.poiCategory(v)), metrics.search))
-      if (pool.size > metrics.liveNnSearches) metrics.liveNnSearches = pool.size
-      nns
-    }
     def totalBytes: Long = pool.valuesIterator.map(_.stateBytes).sum
   }
 

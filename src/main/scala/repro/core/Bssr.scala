@@ -121,10 +121,9 @@ final class Bssr(
       val found = NNInit.runTables(g, simPos, start, setup.distToDest, sky, metrics.search)
       metrics.initTimeNanos = System.nanoTime() - ti
       metrics.initRoutes = found.size
-      val complete = found.filter(_.size == k)
-      val perfect  = complete.filter(_.semScore == 0.0)
-      if (perfect.nonEmpty && complete.nonEmpty) {
-        val worstSem = complete.maxBy(_.semScore)
+      val perfect = found.filter(_.semScore == 0.0)
+      if (perfect.nonEmpty) {
+        val worstSem = found.maxBy(_.semScore)
         metrics.initRatio = worstSem.length / perfect.head.length
       }
     }
@@ -133,10 +132,11 @@ final class Bssr(
     // legS(i)/legP(i) bound the length added between positions i and i+1
     // (1-based legs 1..k-1), computed with the multi-source multi-destination
     // Dijkstra over the PoI sets restricted to the l̄(φ) ball around v_q.
-    val (legS, legP) =
-      if (opts.useLowerBound && k >= 2)
+    // Off, every bound is 0, which turns off the lower-bound prune terms below.
+    val (legS, legP, _) =
+      if (opts.useLowerBound)
         LowerBounds.legsTables(g, simPos, start, sky.thresholdFor(0.0), metrics.search)
-      else (Array.fill(k)(0.0), Array.fill(k)(0.0))
+      else (Array.fill(k)(0.0), Array.fill(k)(0.0), null)
     val lsSuf = LowerBounds.suffixSums(legS)
     val lpSuf = LowerBounds.suffixSums(legP)
     metrics.legS = legS.slice(1, k)
@@ -144,17 +144,15 @@ final class Bssr(
 
     // ---- pruning (Lemma 5.3 via Def. 5.4; Lemma 5.8 when bounds are on) --
     def shouldPrune(r: SRoute): Boolean = {
-      val sLb   = r.semScore
-      val thr   = sky.thresholdFor(sLb)
+      val thr = sky.thresholdFor(r.semScore)
       if (thr.isInfinity) {
         // no upper bound applies; only an impossible completion prunes
-        opts.useLowerBound && lsSuf(r.size).isInfinity
+        lsSuf(r.size).isInfinity
       } else if (r.length + lsSuf(r.size) >= thr) true
-      else if (opts.useLowerBound) {
-        val devS  = 1.0 - r.simProduct * maxNonPerfSuffix(r.size)
-        val condA = sky.thresholdFor(devS) <= r.length
-        condA && r.length + lpSuf(r.size) >= thr
-      } else false
+      else r.length + lpSuf(r.size) >= thr && {
+        val devS = 1.0 - r.simProduct * maxNonPerfSuffix(r.size)
+        sky.thresholdFor(devS) <= r.length
+      }
     }
 
     // ---- Optimization 2: route priority (§5.3.2) -------------------------
@@ -205,13 +203,12 @@ final class Bssr(
       def radiusNow(): Double = {
         val thr = sky.thresholdFor(parent.semScore)
         if (thr.isInfinity) Inf
-        else thr - parent.length - (if (opts.useLowerBound) lsSuf(posIdx + 1) else 0.0)
+        else thr - parent.length - lsSuf(posIdx + 1)
       }
 
       val key = src.toLong * (k + 1) + posIdx
       val needed = radiusNow()
-      val cached = if (opts.useCache) cache.get(key) else None
-      cached match {
+      cache.get(key) match {
         case Some(e) if e.radius >= needed =>
           metrics.cacheHits += 1
           val it = e.results.iterator

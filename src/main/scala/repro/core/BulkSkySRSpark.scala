@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{Dijkstra, PoiDistances, RoadGraph}
+import repro.graph.{PoiDistances, RoadGraph}
 import repro.semantics.CategoryForest
 
 /** The distributed dataflow rendering of bulk SkySR search: iterative
@@ -16,11 +16,11 @@ import repro.semantics.CategoryForest
   *     optimization BSSR uses); `L0` = best perfect-match length.
   *  2. Build the PoI graph distributedly: bounded Dijkstras from the start
   *     and every semantically matching PoI, in parallel over a broadcast
-  *     CSR ([[repro.graph.PoiDistances]]).
+  *     CSR ([[repro.graph.PoiDistances]]), one row per matched position.
   *  3. Grow routes level-synchronously with Catalyst: join the frontier
-  *     with the PoI graph and the level's similarity table, then prune —
+  *     with the level's rows of the PoI graph, then prune —
   *     (a) globally via Lemma 5.3 against `L0` plus the `l_s` suffix bounds
-  *     of Def. 5.7, and (b) per end-PoI with a window-function skyline
+  *     of Def. 5.7, and (b) per end-PoI with one window-function skyline
   *     (routes ending at the same PoI at the same level share all futures,
   *     so dominance among them is safe).
   *  4. Collect the complete routes, union the NNinit seeds, and take the
@@ -49,45 +49,37 @@ object BulkSkySRSpark {
     val seeds = NNInit.runTables(g, simPos, query.start, setup.distToDest, sky, null)
     val l0 = sky.thresholdFor(0.0)
 
-    // Lower-bound suffixes (Def. 5.7) shared with the sequential BSSR.
-    val (legS, _) = LowerBounds.legsTables(g, simPos, query.start, l0)
+    // Lower-bound suffixes (Def. 5.7) shared with BSSR, and each leg's sources.
+    val (legS, _, legSrcs) = LowerBounds.legsTables(g, simPos, query.start, l0)
     val lsSuf = LowerBounds.suffixSums(legS)
 
-    // Phase 2: PoI graph restricted to the L0 ball around the start; its
-    // targets are the categories some position matches.
-    val dv = Dijkstra.fromSource(g, query.start, l0)
-    val sourcePois: Seq[Int] =
-      (0 until k - 1).flatMap(i => g.pois.filter { p =>
-        simPos(i)(g.poiCategory(p)) > 0.0 && dv(p) <= l0
-      }).distinct
+    // Phase 2: PoI graph from the start and the leg sources (the L0 ball),
+    // with one row per position its target matches: the semantic filter.
+    val sourcePois = legSrcs.iterator.flatten.distinct.toSeq
     val targets = forest.categories.filter(c => simPos.exists(_(c) > 0.0)).toSet
-    val poiDist = PoiDistances
-      .build(spark, g, query.start +: sourcePois, targets, l0)
-      .cache()
-
-    // (pos, poi, sim) for every PoI matching a position: the semantic
-    // hierarchy filter the level joins apply.
     val posPoi = (for {
       i <- 0 until k
       p <- g.pois.toSeq
       sim = simPos(i)(g.poiCategory(p))
       if sim > 0.0
-    } yield (i, p, sim)).toDF("pos", "poi", "sim").cache()
+    } yield (i, p, sim)).toDF("pos", "dst", "sim")
+    val poiGraph = PoiDistances
+      .build(spark, g, query.start +: sourcePois, targets, l0)
+      .join(posPoi, "dst")
+      .cache()
 
     // Phase 3: level-synchronous growth.
     var routes: DataFrame = Seq((Array.empty[Int], query.start, 0.0, 1.0))
       .toDF("pois", "endV", "len", "prod")
     for (i <- 0 until k) {
-      val frontier = routes.alias("r")
-      val joined = frontier
-        .join(poiDist.alias("d"), col("r.endV") === col("d.src"))
-        .join(posPoi.where($"pos" === i).alias("m"), col("d.dst") === col("m.poi"))
+      val joined = routes.alias("r")
+        .join(poiGraph.where($"pos" === i).alias("d"), col("r.endV") === col("d.src"))
         .where(!array_contains(col("r.pois"), col("d.dst")))
         .select(
           concat(col("r.pois"), array(col("d.dst"))) as "pois",
           col("d.dst") as "endV",
           (col("r.len") + col("d.dist")) as "len",
-          (col("r.prod") * col("m.sim")) as "prod",
+          (col("r.prod") * col("d.sim")) as "prod",
         )
       // Global branch-and-bound filter (Lemma 5.3 with the s=0 seed route).
       val bounded =
@@ -104,17 +96,17 @@ object BulkSkySRSpark {
         SRoute(r.getAs[scala.collection.Seq[Int]]("pois").toVector,
           r.getDouble(1), r.getDouble(2)).toDestination(setup.distToDest)
       }
-    poiDist.unpersist(); posPoi.unpersist()
+    poiGraph.unpersist()
 
     // Phase 4: final minimal skyline over pipeline results + NNinit seeds.
-    Skyline.of(complete ++ seeds.filter(_.size == k))
+    Skyline.of(complete ++ seeds)
   }
 
   /** Per-end-PoI skyline prune: among routes of the same level ending at the
     * same PoI, drop any dominated by (or equivalent to) another — their
     * extensions would be dominated pointwise (Lemma 5.2 applied per state).
     */
-  private[core] def skylinePerEnd(df: DataFrame, includeUsedSet: Boolean = false): DataFrame = {
+  private[core] def skylinePerEnd(df: DataFrame, includeUsedSet: Boolean): DataFrame = {
     import df.sparkSession.implicits._
     // When some positions can match the same PoIs (`QuerySetup.overlapping`),
     // two partials with different used-PoI sets have different legal futures
@@ -124,14 +116,12 @@ object BulkSkySRSpark {
     // sound state.
     val state =
       if (includeUsedSet) Seq($"endV", sort_array($"pois")) else Seq($"endV")
-    val dedupW = Window.partitionBy(state :+ $"len" :+ $"prod": _*).orderBy($"pois")
+    // Every earlier row is at most as long, so a row survives iff its prod
+    // beats theirs; of equivalent rows only the one with the least pois does.
     val domW = Window.partitionBy(state: _*)
-      .orderBy($"len".asc, $"prod".desc)
+      .orderBy($"len".asc, $"prod".desc, $"pois".asc)
       .rowsBetween(Window.unboundedPreceding, -1)
-    df.withColumn("rn", row_number().over(dedupW))
-      .where($"rn" === 1)
-      .drop("rn")
-      .withColumn("bestProdBefore", max($"prod").over(domW))
+    df.withColumn("bestProdBefore", max($"prod").over(domW))
       .where($"bestProdBefore".isNull || $"prod" > $"bestProdBefore")
       .drop("bestProdBefore")
   }

@@ -11,12 +11,14 @@ import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
   */
 object LowerBounds {
 
-  /** (legS, legP), each of length k: entries 1..k-1 are the leg bounds
-    * between positions i and i+1 (index 0 unused and 0.0). A leg is +∞ when
-    * no qualifying pair exists — every completion through it is prunable.
-    * "Semantic match" is `sim > 0` under the position's table; "perfect
-    * match" is `sim == 1` (for a plain position that is exactly the queried
-    * category, Eq. 5).
+  /** (legS, legP, legSrcs), each of length k: entries 1..k-1 are leg i,
+    * between positions i and i+1 (index 0 unused: 0.0 or empty). A leg bound
+    * is +∞ when no qualifying pair exists — every completion through it is
+    * prunable. Leg i's sources are the PoIs of the `thr0` ball around the
+    * start that match position i; the Spark pipeline's PoI graph starts
+    * from them. "Semantic match" is `sim > 0` under the position's table;
+    * "perfect match" is `sim == 1` (for a plain position that is exactly the
+    * queried category, Eq. 5).
     */
   def legsTables(
       g: RoadGraph,
@@ -24,10 +26,11 @@ object LowerBounds {
       start: Int,
       thr0: Double,
       metrics: SearchMetrics = null,
-  ): (Array[Double], Array[Double]) = {
+  ): (Array[Double], Array[Double], Array[Array[Int]]) = {
     val k = simPos.length
     val legS = Array.fill(k)(0.0)
     val legP = Array.fill(k)(0.0)
+    val legSrcs = Array.fill(k)(Array.empty[Int])
     if (k >= 2) {
       val dv = Dijkstra.fromSource(g, start, thr0, metrics)
       def inBall(v: Int) = dv(v) <= thr0
@@ -37,6 +40,7 @@ object LowerBounds {
       }
       for (i <- 1 until k) {
         val srcs = g.pois.filter(p => simOf(i - 1, p) > 0 && inBall(p))
+        legSrcs(i) = srcs
         legS(i) = Dijkstra.multiSourceMinDist(
           g, srcs, v => simOf(i, v) > 0 && inBall(v),
           bound = thr0, metrics = metrics)
@@ -45,7 +49,7 @@ object LowerBounds {
           bound = thr0, metrics = metrics)
       }
     }
-    (legS, legP)
+    (legS, legP, legSrcs)
   }
 
   /** Suffix sums: `suffix(s) = Σ_{i=s}^{k-1} leg(i)` — the minimum extra

@@ -73,8 +73,35 @@ class BulkSkySRSparkSpec extends SparkSpec {
       (Array(5), 8, 9.0, 0.25),  // kept (different end PoI)
       (Array(6), 7, 4.5, 0.75),  // dominated by (4.0, 0.5)? prod 0.75 < ... no: len 4.5>4.0, prod 0.75>0.5 -> kept
     ).toDF("pois", "endV", "len", "prod")
-    val kept = BulkSkySRSpark.skylinePerEnd(df)
+    val kept = BulkSkySRSpark.skylinePerEnd(df, includeUsedSet = false)
       .select("pois").collect().map(_.getAs[scala.collection.Seq[Int]](0).head).toSet
     assert(kept == Set(1, 3, 5, 6))
+  }
+
+  test("with used-set states the prune compares only routes with the same used PoIs") {
+    import spark.implicits._
+    val df = Seq(
+      (Array(1, 2, 7), 7, 5.0, 1.0), // kept
+      (Array(2, 1, 7), 7, 6.0, 1.0), // dominated by ⟨1,2,7⟩: same used set
+      (Array(3, 1, 7), 7, 6.0, 1.0), // kept: used set {1,3,7} differs
+      (Array(2, 3, 7), 7, 5.0, 1.0), // kept: the smaller of two equivalent lists
+      (Array(3, 2, 7), 7, 5.0, 1.0), // equivalent to ⟨2,3,7⟩, same used set -> dropped
+    ).toDF("pois", "endV", "len", "prod")
+    def kept(includeUsedSet: Boolean): Set[Seq[Int]] =
+      BulkSkySRSpark.skylinePerEnd(df, includeUsedSet)
+        .select("pois").collect().map(_.getAs[scala.collection.Seq[Int]](0).toSeq).toSet
+    assert(kept(includeUsedSet = true) == Set(Seq(1, 2, 7), Seq(3, 1, 7), Seq(2, 3, 7)))
+    assert(kept(includeUsedSet = false) == Set(Seq(1, 2, 7)))
+  }
+
+  // The shape of the benchmark's pipeline queries (TokyoLite, |S_q| = 3), on
+  // which the L0 filter and the per-level prune cut most joined routes.
+  test("Spark pipeline == BSSR on seeded TokyoLite |Sq|=3 queries") {
+    val g = Datasets.tokyoLite
+    Workload.queries(g, forest, 2, 3, 97L).foreach { q =>
+      val dist = BulkSkySRSpark.run(spark, g, forest, q)
+      TestUtil.assertSameSkyline(s"tokyo $q", dist, new Bssr(g, forest).run(q).skyline)
+      TestUtil.assertRouteScores(g, forest, q, dist)
+    }
   }
 }

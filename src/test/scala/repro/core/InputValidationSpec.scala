@@ -8,7 +8,8 @@ import repro.semantics.CategoryForest
 /** Empty category sequences and out-of-range start vertices, destinations
   * and category ids fail at the API boundary of each entry point with an
   * `IllegalArgumentException` that names the bad value, instead of deep
-  * inside a search.
+  * inside a search. Iterated OSR, which has no destination leg, rejects
+  * every destination the same way.
   */
 class InputValidationSpec extends SparkSpec {
 
@@ -51,6 +52,11 @@ class InputValidationSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](run(q.copy(categories = Vector.empty)))
     assert(e.getMessage.contains("empty category sequence"), e.getMessage)
   }
+
+  for ((name, run) <- entryPoints.filter(_._1.startsWith("IterativeOsr")) :+ pne)
+    test(s"$name rejects a destination") {
+      assertRejects(q.copy(destination = Some(3)), 3, run)
+    }
 
   test("Bssr.runSpecs rejects an out-of-range negated category id") {
     val specs = Vector(PositionSpec(Vector(q.categories.head), noneOf = Set(badCat)))

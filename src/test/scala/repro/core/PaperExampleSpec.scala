@@ -30,7 +30,7 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("Example 5.10: semantic-match minimum distances l_s = (2, 1) via p6→p9 and p12→p13") {
-    val (legS, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
+    val (legS, _, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
     assert(legS.slice(1, 3).toSeq == Seq(2.0, 1.0))
   }
 
@@ -39,7 +39,7 @@ class PaperExampleSpec extends AnyFunSuite {
     // position i+1. The example's A&E tree is a single node, so every A&E
     // PoI is a perfect match and l_p coincides with l_s here — the paper's
     // prose states (3, 1) for its unpublished weights (see EXPERIMENTS.md).
-    val (legS, legP) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
+    val (legS, legP, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
     assert(legP.slice(1, 3).toSeq == Seq(2.0, 1.0))
     (1 to 2).foreach(i => assert(legP(i) >= legS(i)))
   }
