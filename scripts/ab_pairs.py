@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""A/B pairs of skybench runs: a parent revision against this checkout.
+
+    python3 scripts/ab_pairs.py --parent <rev> --workload long \
+        [--workload batch] [--pairs 10] --out BENCH_<n>.json
+
+The parent side is `git archive <rev>` unpacked into a temporary directory;
+the change side is this checkout as it is on disk (uncommitted edits
+included). Each side builds into its own `.bench_build` (`CARGO_TARGET_DIR`
+is cleared for the child runs). Pair i runs both sides on seed
+`SEED0 + i`, parent first on even i and change first on odd i, each as
+
+    python3 skybench/run.py --workload W --seed S --seconds T --trace 0
+
+with T the `run_seconds` of BENCHMARK.json, the same on both sides,
+and keeps the run's final JSON line. The output file holds, per workload,
+the per-pair values, the medians, the parent's interquartile spread and, for
+every end-to-end metric of BENCHMARK.json, a verdict against its bound:
+
+  - "unresolved": the parent's spread (interquartile range over median) is
+    wider than the bound, so a shift within the bound cannot be told apart,
+    unless every change run reads better than every parent run;
+  - "worse": the change's median is worse than the parent's by more than
+    the bound;
+  - "within bound": otherwise.
+
+BENCHMARK.json is only read.
+"""
+
+import argparse
+import datetime
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED0 = 701  # seed of pair 0
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def unpack(rev, dest):
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def child_env():
+    env = dict(os.environ)
+    env.pop("CARGO_TARGET_DIR", None)
+    return env
+
+
+def run_once(side_root, workload, seed, seconds):
+    """One skybench run; its final JSON line, or an error record."""
+    cmd = [sys.executable, "skybench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    p = subprocess.run(cmd, cwd=side_root, env=child_env(),
+                       capture_output=True, text=True)
+    lines = [ln for ln in p.stdout.splitlines() if ln.strip()]
+    if p.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    return {"error": f"exit {p.returncode}", "stderr_tail": p.stderr[-2000:]}
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def summarize(pairs, end_to_end):
+    out = {}
+    ok = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
+    for m in end_to_end:
+        name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
+        par = [p["parent"]["metrics"][name]["value"] for p in ok]
+        chg = [p["change"]["metrics"][name]["value"] for p in ok]
+        if not par:
+            out[name] = {"verdict": "no data"}
+            continue
+        pm, cm = statistics.median(par), statistics.median(chg)
+        q1, q3 = quartiles(par)
+        spread = (q3 - q1) / pm if pm else float("inf")
+        worse = ((cm - pm) if lower else (pm - cm)) / pm if pm else 0.0
+        better_pairs = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        all_better = (max(chg) < min(par)) if lower else (min(chg) > max(par))
+        if spread > bound and not all_better:
+            verdict = "unresolved"
+        elif worse > bound:
+            verdict = "worse"
+        else:
+            verdict = "within bound"
+        out[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": bound,
+            "parent": par, "change": chg,
+            "parent_median": pm, "change_median": cm,
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "parent_spread": spread, "worse_frac": worse,
+            "change_better_pairs": better_pairs, "verdict": verdict,
+        }
+    failed = {side: sum(p[side].get("failed", 0) for p in pairs) for side in ("parent", "change")}
+    attempted = {side: sum(p[side].get("attempted", 0) for p in pairs) for side in ("parent", "change")}
+    out["failed_frac"] = {
+        side: (failed[side] / attempted[side] if attempted[side] else None)
+        for side in ("parent", "change")}
+    out["errored_runs"] = len(pairs) - len(ok)
+    return out
+
+
+def main(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="skybench workload; repeat for several")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", required=True, help="output JSON file")
+    a = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    parent_sha = git("rev-parse", a.parent).decode().strip()
+    head_sha = git("rev-parse", "HEAD").decode().strip()
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    result = {
+        "command": ["python3", "scripts/ab_pairs.py"] + argv,
+        "parent": parent_sha,
+        "change": head_sha + (" + uncommitted edits" if dirty else ""),
+        "host": {"cpus": os.cpu_count(), "platform": platform.platform(),
+                 "python": platform.python_version()},
+        "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "run": f"skybench/run.py --seconds {seconds} --trace 0",
+        "workloads": {},
+    }
+    tmp = Path(tempfile.mkdtemp(prefix="ab_pairs_"))
+    try:
+        unpack(parent_sha, tmp)
+        sides = {"parent": tmp, "change": ROOT}
+        for side, root in sides.items():  # build outside the measured runs
+            subprocess.run([sys.executable, "skybench/build.py"], cwd=root,
+                           env=child_env(), check=True, capture_output=True)
+        for w in a.workload:
+            pairs = []
+            for i in range(a.pairs):
+                seed = SEED0 + i
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                pair = {"seed": seed, "order": order}
+                for side in order:
+                    pair[side] = run_once(sides[side], w, seed, seconds)
+                    print(f"ab_pairs: {w} seed {seed} {side}: "
+                          f"{json.dumps(pair[side].get('metrics', pair[side]))}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            result["workloads"][w] = {
+                "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    result["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    Path(a.out).write_text(json.dumps(result, indent=1) + "\n")
+    for w, r in result["workloads"].items():
+        for name, s in r["summary"].items():
+            if isinstance(s, dict) and "verdict" in s:
+                print(f"{w} {name}: {s.get('parent_median')} -> {s.get('change_median')} "
+                      f"({s['verdict']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

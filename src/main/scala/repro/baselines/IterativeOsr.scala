@@ -25,10 +25,7 @@ object IterativeOsr {
     */
   def simLevels(g: RoadGraph, forest: CategoryForest, query: Query): Array[Array[Double]] = {
     val present = g.poisByCategory.keys.toArray
-    query.categories.toArray.map { c =>
-      val ls = forest.simLevels(c, present).toArray
-      ls
-    }
+    query.categories.toArray.map(c => forest.simLevels(c, present).toArray)
   }
 
   def comboCount(g: RoadGraph, forest: CategoryForest, query: Query): Long =

@@ -5,14 +5,18 @@ import repro.graph.{NearestNeighborSearch, RoadGraph, SearchMetrics}
 
 import scala.collection.mutable
 
-/** Match rule for one sequence position of a (relaxed) OSR query: a PoI with
-  * category `c` matches iff `sims(c) >= minSim`. With `minSim = 1` this is
+/** Match rule for one sequence position of a (relaxed) OSR query: vertex `v`
+  * matches iff `g.poiSim(sims, v)` is positive and `>= minSim` (a road
+  * vertex's similarity is 0). With `minSim = 1` this is
   * the classic perfect-match OSR of Sharifzadeh et al.; smaller thresholds
   * give the similarity-level relaxations our naive SkySR baseline iterates
   * over (DESIGN.md §6).
   */
 final case class PositionMatcher(minSim: Double, sims: Array[Double]) {
-  def matches(cat: Int): Boolean = cat >= 0 && sims(cat) >= minSim && sims(cat) > 0.0
+  def matches(g: RoadGraph, v: Int): Boolean = {
+    val s = g.poiSim(sims, v)
+    s >= minSim && s > 0.0
+  }
 }
 
 /** Shared instrumentation for the baseline algorithms. */
@@ -59,9 +63,8 @@ object OsrDijkstra {
         metrics.search.settled += 1
         if (metrics.search.settled > maxSettled) throw new BudgetExceeded
         if (e.layer == k) return Some(e.route)
-        val cat = g.poiCategory(e.vertex)
-        if (e.layer < k && matchers(e.layer).matches(cat) && !e.route.contains(e.vertex)) {
-          val r2 = e.route.extend(e.vertex, e.dist - e.route.length, matchers(e.layer).sims(cat))
+        if (e.layer < k && matchers(e.layer).matches(g, e.vertex) && !e.route.contains(e.vertex)) {
+          val r2 = e.route.extend(e.vertex, e.dist - e.route.length, g.poiSim(matchers(e.layer).sims, e.vertex))
           pq.enqueue(Entry(e.dist, e.vertex, e.layer + 1, r2))
         }
         var i = g.adjIndex(e.vertex)
@@ -96,7 +99,7 @@ object OsrPne {
     private val pool = mutable.HashMap.empty[(Int, Int), NearestNeighborSearch]
     def of(source: Int, pos: Int, matcher: PositionMatcher): NearestNeighborSearch =
       pool.getOrElseUpdate((source, pos),
-        new NearestNeighborSearch(g, source, v => matcher.matches(g.poiCategory(v)), metrics.search))
+        new NearestNeighborSearch(g, source, v => matcher.matches(g, v), metrics.search))
     def totalBytes: Long = pool.valuesIterator.map(_.stateBytes).sum
   }
 
@@ -136,8 +139,7 @@ object OsrPne {
       val pos = parent.size
       val src = if (parent.isEmpty) start else parent.end
       nextValid(src, pos, parent, fromRank).foreach { case (r, p, d) =>
-        val cat = g.poiCategory(p)
-        pq.enqueue(Entry(parent.extend(p, d, matchers(pos).sims(cat)), r, parent))
+        pq.enqueue(Entry(parent.extend(p, d, g.poiSim(matchers(pos).sims, p)), r, parent))
         if (pq.size > metrics.peakQueueSize) metrics.peakQueueSize = pq.size
       }
     }

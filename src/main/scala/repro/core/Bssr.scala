@@ -178,13 +178,13 @@ final class Bssr(
       if (qb.size > metrics.peakQueueSize) metrics.peakQueueSize = qb.size
     }
 
-    def processCandidate(parent: SRoute, u: Int, d: Double, sim: Double): Unit = {
-      if (!parent.contains(u)) {
+    /** True iff the candidate completed a route that entered the skyline. */
+    def processCandidate(parent: SRoute, u: Int, d: Double, sim: Double): Boolean =
+      !parent.contains(u) && {
         val rt = parent.extend(u, d, sim)
-        if (rt.size == k) rt.toDestination(setup.distToDest).foreach(sky.update) // rejects dominated/equiv
-        else if (!shouldPrune(rt)) enqueue(rt)
+        if (rt.size == k) rt.toDestination(setup.distToDest).exists(sky.update) // rejects dominated/equiv
+        else { if (!shouldPrune(rt)) enqueue(rt); false }
       }
-    }
 
     // ---- Optimization 4: on-the-fly cache (§5.3.4) -----------------------
     val cache = mutable.HashMap.empty[Long, Bssr.CacheEntry]
@@ -208,7 +208,8 @@ final class Bssr(
 
       val key = src.toLong * (k + 1) + posIdx
       val needed = radiusNow()
-      cache.get(key) match {
+      val cached = cache.get(key)
+      cached match {
         case Some(e) if e.radius >= needed =>
           metrics.cacheHits += 1
           val it = e.results.iterator
@@ -221,6 +222,8 @@ final class Bssr(
           val w0 = metrics.search.weightSum
           val results = mutable.ArrayBuffer.empty[(Int, Double, Double)]
           var finalRadius = Inf
+          // The radius moves only when the skyline gains a route.
+          var rad = needed
 
           stamp += 1
           val st = stamp
@@ -233,7 +236,6 @@ final class Bssr(
             val u = pq.minVertex
             pq.pop()
             if (settledArr(u) != st) {
-              val rad = radiusNow()
               // On break, everything strictly below the breaking entry's
               // distance has been settled, so `d` (≥ rad) is the sound —
               // and larger — radius to record for the cache.
@@ -241,12 +243,11 @@ final class Bssr(
               else {
                 settledArr(u) = st
                 metrics.search.settled += 1
-                val cat = g.poiCategory(u)
-                val sim = if (cat >= 0) sims(cat) else 0.0
+                val sim = g.poiSim(sims, u)
                 val lemma55 = !overlapping(posIdx)
                 if (sim > 0.0 && u != src && (!lemma55 || sim > simPath(u))) {
                   results += ((u, d, sim))
-                  processCandidate(parent, u, d, sim)
+                  if (processCandidate(parent, u, d, sim)) rad = radiusNow()
                 }
                 if (!lemma55 || sim != 1.0) { // Lemma 5.5: perfect matches absorb the search
                   val sp = math.max(simPath(u), sim)
@@ -272,8 +273,8 @@ final class Bssr(
             firstSearch = false
           }
           if (opts.useCache) {
-            val keep = cache.get(key).forall(_.radius < finalRadius)
-            if (keep) cache(key) = Bssr.CacheEntry(results, finalRadius)
+            if (cached.forall(_.radius < finalRadius))
+              cache(key) = Bssr.CacheEntry(results, finalRadius)
           }
       }
     }

@@ -4,9 +4,9 @@ import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
 
 /** Possible minimum distances of Def. 5.7 — the semantic-match (`l_s`) and
   * perfect-match (`l_p`) lower bounds on the length a route must still gain
-  * per remaining leg, computed with the multi-source multi-destination
-  * Dijkstra (Lemma 5.9) over PoI sets restricted to the `l̄(φ)` ball around
-  * the start (Algorithm 4). Shared by the sequential BSSR and the Spark
+  * per remaining leg, both from one multi-source multi-destination Dijkstra
+  * pass per leg (Lemma 5.9) over PoI sets restricted to the `l̄(φ)` ball
+  * around the start (Algorithm 4). Shared by the sequential BSSR and the Spark
   * pipeline so both prune with identical bounds.
   */
 object LowerBounds {
@@ -34,19 +34,14 @@ object LowerBounds {
     if (k >= 2) {
       val dv = Dijkstra.fromSource(g, start, thr0, metrics)
       def inBall(v: Int) = dv(v) <= thr0
-      def simOf(i: Int, v: Int): Double = {
-        val c = g.poiCategory(v)
-        if (c < 0) 0.0 else simPos(i)(c)
-      }
       for (i <- 1 until k) {
-        val srcs = g.pois.filter(p => simOf(i - 1, p) > 0 && inBall(p))
+        val srcs = g.pois.filter(p => g.poiSim(simPos(i - 1), p) > 0 && inBall(p))
         legSrcs(i) = srcs
-        legS(i) = Dijkstra.multiSourceMinDist(
-          g, srcs, v => simOf(i, v) > 0 && inBall(v),
+        val (ls, lp) = Dijkstra.multiSourceMinDist(
+          g, srcs, v => if (inBall(v)) g.poiSim(simPos(i), v) else 0.0,
           bound = thr0, metrics = metrics)
-        legP(i) = Dijkstra.multiSourceMinDist(
-          g, srcs, v => simOf(i, v) == 1.0 && inBall(v),
-          bound = thr0, metrics = metrics)
+        legS(i) = ls
+        legP(i) = lp
       }
     }
     (legS, legP, legSrcs)

@@ -32,18 +32,13 @@ object NNInit {
     var route = SRoute.empty
     var cur   = start
 
-    def simOf(i: Int, v: Int): Double = {
-      val c = g.poiCategory(v)
-      if (c < 0) 0.0 else simPos(i)(c)
-    }
-
     var i = 0
     var stuck = false
     while (i < k && !stuck) {
       val isLast = i == k - 1
       if (!isLast) {
         val nns = new NearestNeighborSearch(
-          g, cur, v => simOf(i, v) == 1.0 && !route.contains(v), metrics)
+          g, cur, v => g.poiSim(simPos(i), v) == 1.0 && !route.contains(v), metrics)
         nns.get(0) match {
           case Some((p, d)) =>
             route = route.extend(p, d, 1.0)
@@ -53,13 +48,13 @@ object NNInit {
       } else {
         // Final leg: collect semantic matches until the first perfect match.
         val nns = new NearestNeighborSearch(
-          g, cur, v => simOf(i, v) > 0.0 && !route.contains(v), metrics)
+          g, cur, v => g.poiSim(simPos(i), v) > 0.0 && !route.contains(v), metrics)
         var rank = 0
         var done = false
         while (!done) {
           nns.get(rank) match {
             case Some((p, d)) =>
-              val s = simOf(i, p)
+              val s = g.poiSim(simPos(i), p)
               route.extend(p, d, s).toDestination(distToDest).foreach { r =>
                 found += r
                 sky.update(r)

@@ -144,21 +144,12 @@ object Skyline {
     * representative per equivalent (l, s) point, sorted by length ascending.
     */
   def of(routes: Seq[SRoute]): Vector[SRoute] = {
-    val sorted = routes.sortBy(r => (r.length, r.semScore))
-    val out    = mutable.ArrayBuffer.empty[SRoute]
+    // Among equal lengths only the first (smallest sem) can survive: the
+    // rest have sem ≥ its sem ≥ bestSem.
+    val out     = mutable.ArrayBuffer.empty[SRoute]
     var bestSem = Double.PositiveInfinity
-    var i = 0
-    while (i < sorted.length) {
-      val r = sorted(i)
-      // among equal lengths only the first (smallest sem) can survive
-      val sameL = i + 1 < sorted.length && sorted(i + 1).length == r.length
+    routes.sortBy(r => (r.length, r.semScore)).foreach { r =>
       if (r.semScore < bestSem) { out += r; bestSem = r.semScore }
-      // skip the rest of this length group
-      if (sameL) {
-        val l = r.length
-        while (i + 1 < sorted.length && sorted(i + 1).length == l) i += 1
-      }
-      i += 1
     }
     out.toVector
   }

@@ -53,13 +53,12 @@ object RoadNetData {
     // Candidate grid adjacency (right/down neighbours), shuffled.
     val candidates = mutable.ArrayBuffer.empty[(Int, Int)]
     for (u <- 0 until n) {
-      val row = u / side; val col = u % side
+      val col = u % side
       if (col + 1 < side && u + 1 < n) candidates += ((u, u + 1))
       if (u + side < n) candidates += ((u, u + side))
       // occasional diagonal shortcut candidates for non-grid texture
       if (col + 1 < side && u + side + 1 < n && rnd.nextDouble() < 0.15)
         candidates += ((u, u + side + 1))
-      val _ = row
     }
     val shuffled = rnd.shuffle(candidates.toSeq)
 

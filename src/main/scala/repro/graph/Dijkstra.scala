@@ -67,9 +67,13 @@ object Dijkstra {
     dist
   }
 
-  /** Minimum network distance from any vertex in `sources` to any vertex
-    * satisfying `isDest` — the multi-source multi-destination Dijkstra of
+  /** `(l_s, l_p)`: the minimum network distance from any vertex in `sources`
+    * to a semantic match (`sim(v) > 0`) and to a perfect match
+    * (`sim(v) == 1`) — the multi-source multi-destination Dijkstra of
     * Lemma 5.9, used to compute the possible minimum distances of Def. 5.7.
+    * A perfect match is also a semantic match, so one pass finds both: l_s
+    * at the first matching settle, l_p at the first perfect one, where the
+    * search stops. A distance beyond `bound` (or no match) is +∞.
     *
     * Pairs where source == destination are excluded (a sequenced route never
     * visits the same PoI twice, Def. 3.4-iii), which matters when the two
@@ -79,11 +83,12 @@ object Dijkstra {
   def multiSourceMinDist(
       g: RoadGraph,
       sources: Array[Int],
-      isDest: Int => Boolean,
+      sim: Int => Double,
       bound: Double = Inf,
       metrics: SearchMetrics = null,
-  ): Double = {
-    if (sources.isEmpty) return Inf
+  ): (Double, Double) = {
+    if (sources.isEmpty) return (Inf, Inf)
+    var ls = Inf
     val origin1 = Array.fill(g.numVertices)(-1)
     val origin2 = Array.fill(g.numVertices)(-1)
     val pq      = new MinHeap(math.max(64, sources.length))
@@ -93,13 +98,17 @@ object Dijkstra {
       val u      = pq.minVertex
       val origin = pq.minOrigin
       pq.pop()
-      if (d > bound) return Inf
+      if (d > bound) return (ls, Inf)
       val fresh = origin1(u) < 0 ||
         (origin2(u) < 0 && origin1(u) != origin)
       if (fresh) {
         if (origin1(u) < 0) origin1(u) = origin else origin2(u) = origin
         if (metrics != null) metrics.settled += 1
-        if (isDest(u) && origin != u) return d
+        if (origin != u) {
+          val s = sim(u)
+          if (s > 0.0 && ls == Inf) ls = d
+          if (s == 1.0) return (ls, d)
+        }
         var i = g.adjIndex(u)
         while (i < g.adjIndex(u + 1)) {
           val v = g.adjVertex(i)
@@ -110,7 +119,7 @@ object Dijkstra {
         }
       }
     }
-    Inf
+    (ls, Inf)
   }
 
   /** Point-to-point distance, stopping when `b` settles. It is the reference

@@ -19,17 +19,16 @@ object PoiDistances {
   ): DataFrame = {
     import spark.implicits._
     val bg   = spark.sparkContext.broadcast(g)
-    val cats = targetCategories
     val parts = math.max(1, math.min(sources.size, spark.sparkContext.defaultParallelism * 2))
     spark
-      .createDataset(sources.map(_.toInt))
+      .createDataset(sources)
       .repartition(parts)
       .mapPartitions { it =>
         val graph = bg.value
         it.flatMap { s =>
           val dist = Dijkstra.fromSource(graph, s, bound)
           graph.pois.iterator
-            .filter(p => p != s && cats.contains(graph.poiCategory(p)) && dist(p) <= bound)
+            .filter(p => p != s && targetCategories.contains(graph.poiCategory(p)) && dist(p) <= bound)
             .map(p => (s, p, dist(p)))
         }
       }

@@ -34,6 +34,12 @@ final class RoadGraph(
 
   def isPoi(v: Int): Boolean = poiCategory(v) >= 0
 
+  /** `v`'s similarity under a per-category table; 0 for a road vertex. */
+  def poiSim(table: Array[Double], v: Int): Double = {
+    val c = poiCategory(v)
+    if (c < 0) 0.0 else table(c)
+  }
+
   /** Input check at the query API boundary: `v` must be a vertex id. */
   def requireVertex(v: Int, role: String): Unit =
     require(v >= 0 && v < numVertices, s"$role vertex $v out of range [0, $numVertices)")

@@ -55,30 +55,39 @@ class DijkstraSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val srcs  = Array.fill(6)(rnd.nextInt(g.numVertices)).distinct
       val dests = Array.fill(6)(rnd.nextInt(g.numVertices)).distinct.toSet
-      val brute = (for { s <- srcs; d <- dests if s != d } yield fw(s)(d))
+      // Two nested tiers: the perfect matches are a subset of the matches.
+      val perfect = dests.filter(_ => rnd.nextBoolean())
+      def sim(v: Int) = if (perfect(v)) 1.0 else if (dests(v)) 0.5 else 0.0
+      def brute(ds: Set[Int]) = (for { s <- srcs; d <- ds if s != d } yield fw(s)(d))
         .foldLeft(Double.PositiveInfinity)(math.min)
-      val got = Dijkstra.multiSourceMinDist(g, srcs, dests.contains)
-      assert(math.abs(got - brute) < 1e-9 || (got.isInfinity && brute.isInfinity))
+      def same(got: Double, want: Double) =
+        math.abs(got - want) < 1e-9 || (got.isInfinity && want.isInfinity)
+      val (ls, lp) = Dijkstra.multiSourceMinDist(g, srcs, sim)
+      assert(same(ls, brute(dests)), s"l_s = $ls")
+      assert(same(lp, brute(perfect)), s"l_p = $lp")
     }
   }
+
+  private def oneTier(set: Set[Int]): Int => Double = v => if (set(v)) 1.0 else 0.0
 
   test("multiSourceMinDist excludes source==dest pairs even when sets overlap") {
     // path graph 0-1-2 with weights 1, 1; sources {0,1}, dests {1}
     val g = RoadGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array(-1, -1, -1))
-    val d = Dijkstra.multiSourceMinDist(g, Array(0, 1), Set(1).contains)
-    assert(d == 1.0) // from 0, not the trivial 0.0 from 1 itself
+    val d = Dijkstra.multiSourceMinDist(g, Array(0, 1), oneTier(Set(1)))
+    assert(d == ((1.0, 1.0))) // from 0, not the trivial 0.0 from 1 itself
   }
 
   test("multiSourceMinDist with overlapping sets picks the closest *other* source") {
     // 0 -5- 1 -2- 2 ; sources {1, 2}, dests {1}: best distinct pair is 2->1 = 2
     val g = RoadGraph.fromEdges(3, Seq((0, 1, 5.0), (1, 2, 2.0)), Array(-1, -1, -1))
-    assert(Dijkstra.multiSourceMinDist(g, Array(1, 2), Set(1).contains) == 2.0)
+    assert(Dijkstra.multiSourceMinDist(g, Array(1, 2), oneTier(Set(1))) == ((2.0, 2.0)))
   }
 
   test("multiSourceMinDist returns Inf when no destination is reachable") {
     val g = RoadGraph.fromEdges(2, Seq((0, 1, 1.0)), Array(-1, -1))
-    assert(Dijkstra.multiSourceMinDist(g, Array(0), _ => false).isInfinity)
-    assert(Dijkstra.multiSourceMinDist(g, Array.empty[Int], _ => true).isInfinity)
+    val inf = Double.PositiveInfinity
+    assert(Dijkstra.multiSourceMinDist(g, Array(0), oneTier(Set.empty)) == ((inf, inf)))
+    assert(Dijkstra.multiSourceMinDist(g, Array.empty[Int], oneTier(Set(0, 1))) == ((inf, inf)))
   }
 
   for (seed <- 1L to 6L) {
