@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PositionSpec, Query, SRoute, Skyline}
+import repro.core.{Query, QuerySetup, SRoute, Skyline}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -34,7 +34,8 @@ object IterativeOsr {
   /** Exact SkySR via iterated OSR. `useDij` picks the Dijkstra-based OSR
     * solver, otherwise PNE. Budget caps mark the run `aborted` (the paper's
     * "not finished after a month" bars). The OSR solvers have no final leg,
-    * so a query with a destination is rejected.
+    * so a query with a destination is rejected first; `QuerySetup`
+    * validates the rest.
     */
   def skySR(
       g: RoadGraph,
@@ -45,12 +46,9 @@ object IterativeOsr {
       maxSettled: Long = Long.MaxValue,
   ): Vector[SRoute] = {
     val t0 = System.nanoTime()
-    require(query.size >= 1, "empty category sequence")
-    g.requireVertex(query.start, "start")
-    query.destination.foreach(g.requireVertex(_, "destination"))
     require(query.destination.isEmpty,
       s"iterated OSR answers only queries without a destination (got destination ${query.destination.get})")
-    val simTables = query.specs.map(PositionSpec.simTable(forest, _)) // checks category ids
+    val simTables = QuerySetup(g, forest, query.start, query.specs, None).simPos
     val levels    = simLevels(g, forest, query)
     val k         = query.size
     val candidates = mutable.ArrayBuffer.empty[SRoute]

@@ -17,8 +17,8 @@ object BenchUtil {
     * entries × measured per-entry cost (route vector + boxing overhead).
     */
   def graphBytes(g: repro.graph.RoadGraph): Long =
-    // CSR: adjVertex(4) + adjWeight(8) per directed edge; 4+8+8+8 per vertex
-    4L * g.numDirectedEdges + 8L * g.numDirectedEdges + 28L * g.numVertices
+    // CSR: adjVertex(4) + adjWeight(8) per directed edge; adjIndex(4) + poiCategory(4) per vertex
+    12L * g.numDirectedEdges + 8L * g.numVertices
 
   def routeEntryBytes(avgRouteLen: Double): Long =
     (64 + 40 * avgRouteLen).toLong // Vector node + boxed ints + entry header

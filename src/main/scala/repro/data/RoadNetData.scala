@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -17,7 +16,6 @@ import scala.util.Random
   * significantly biased").
   */
 final case class RoadNetSpec(
-    name: String,
     nRoadVertices: Int,
     nPois: Int,
     roadEdgeFactor: Double, // road edges ≈ factor × vertices (≥ spanning tree)
@@ -38,8 +36,8 @@ object RoadNetData {
     val cell = spec.extent / side
 
     val total = n + spec.nPois
-    val xs = new Array[Double](total)
-    val ys = new Array[Double](total)
+    val xs = new Array[Double](n)
+    val ys = new Array[Double](n)
     var v = 0
     while (v < n) {
       val row = v / side; val col = v % side
@@ -86,32 +84,12 @@ object RoadNetData {
       val p = n + i
       val (a, b, w) = edges(rnd.nextInt(roadEdgeCount))
       val t = 0.15 + 0.7 * rnd.nextDouble()
-      xs(p) = xs(a) + t * (xs(b) - xs(a))
-      ys(p) = ys(a) + t * (ys(b) - ys(a))
       edges += ((p, a, t * w))
       if (spec.poiConnectors >= 2) edges += ((p, b, (1.0 - t) * w))
       poiCategory(p) = cats(i)
     }
 
-    RoadGraph.fromEdges(total, edges.toSeq, poiCategory, xs, ys)
-  }
-
-  /** Road network + PoI schema for the SkySR paper (EDBT'18): vertices
-    * `(vertex, x, y)`, undirected edges `(src, dst, weight)` and PoIs
-    * `(poi, category)` over the Foursquare-like category forest. SF=1.0 is
-    * roughly the paper's Tokyo map (~400k road vertices, ~174k PoIs);
-    * tests use sf<=0.001, benchmarks ~0.01. Deterministic in (sf, seed).
-    */
-  def roadNetwork(spark: SparkSession, sf: Double = 0.001, seed: Long = 42)
-      : (DataFrame, DataFrame, DataFrame) = {
-    val g = generate(RoadNetSpec(
-      name = s"sf$sf",
-      nRoadVertices = math.max(50, (400000 * sf).toInt),
-      nPois = math.max(20, (174000 * sf).toInt),
-      roadEdgeFactor = 1.15,
-      forest = CategoryForest.foursquareLike,
-      seed = seed))
-    g.toDataFrames(spark)
+    RoadGraph.fromEdges(total, edges.toSeq, poiCategory)
   }
 
   /** Zipf-skewed category draw over the forest's non-root categories, in a

@@ -9,7 +9,7 @@ import scala.collection.mutable
   * search space" (Table 7). `settled` counts dequeued-and-settled vertices —
   * the "number of vertices visited" of Table 8.
   */
-final class SearchMetrics extends Serializable {
+final class SearchMetrics {
   var settled: Long    = 0L
   var relaxed: Long    = 0L
   var weightSum: Double = 0.0

@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.collection.mutable
 
 /** Road network with embedded PoI vertices, in CSR form. Built undirected by
@@ -23,8 +22,6 @@ final class RoadGraph(
     val adjVertex: Array[Int],
     val adjWeight: Array[Double],
     val poiCategory: Array[Int], // -1 for plain road vertices
-    val xs: Array[Double],       // coordinates (degrees); informational
-    val ys: Array[Double],
 ) extends Serializable {
 
   require(adjIndex.length == numVertices + 1, "bad CSR index length")
@@ -74,7 +71,7 @@ final class RoadGraph(
     * structurally-undirected graph transposes to itself (same distances).
     */
   lazy val transpose: RoadGraph =
-    RoadGraph.csr(numVertices, poiCategory, xs, ys) { arc =>
+    RoadGraph.csr(numVertices, poiCategory) { arc =>
       var u = 0
       while (u < numVertices) {
         var i = adjIndex(u)
@@ -82,25 +79,6 @@ final class RoadGraph(
         u += 1
       }
     }
-
-  /** Vertices, edges and PoIs as DataFrames — the dataflow-facing view of
-    * the dataset (each undirected edge appears once, src < dst).
-    */
-  def toDataFrames(spark: SparkSession): (DataFrame, DataFrame, DataFrame) = {
-    import spark.implicits._
-    val vs = (0 until numVertices).map(v => (v, xs(v), ys(v)))
-    val es = for {
-      u <- 0 until numVertices
-      i <- adjIndex(u) until adjIndex(u + 1)
-      if u < adjVertex(i)
-    } yield (u, adjVertex(i), adjWeight(i))
-    val ps = (0 until numVertices).filter(isPoi).map(v => (v, poiCategory(v)))
-    (
-      vs.toDF("vertex", "x", "y"),
-      es.toDF("src", "dst", "weight"),
-      ps.toDF("poi", "category"),
-    )
-  }
 }
 
 object RoadGraph {
@@ -110,11 +88,9 @@ object RoadGraph {
       numVertices: Int,
       edges: Seq[(Int, Int, Double)],
       poiCategory: Array[Int],
-      xs: Array[Double] = null,
-      ys: Array[Double] = null,
   ): RoadGraph = {
     requireEdges(numVertices, edges)
-    csr(numVertices, poiCategory.clone(), xs, ys) { arc =>
+    csr(numVertices, poiCategory.clone()) { arc =>
       edges.foreach { case (u, v, w) => arc(u, v, w); arc(v, u, w) }
     }
   }
@@ -124,11 +100,9 @@ object RoadGraph {
       numVertices: Int,
       edges: Seq[(Int, Int, Double)],
       poiCategory: Array[Int],
-      xs: Array[Double] = null,
-      ys: Array[Double] = null,
   ): RoadGraph = {
     requireEdges(numVertices, edges)
-    csr(numVertices, poiCategory.clone(), xs, ys) { arc =>
+    csr(numVertices, poiCategory.clone()) { arc =>
       edges.foreach { case (u, v, w) => arc(u, v, w) }
     }
   }
@@ -141,10 +115,9 @@ object RoadGraph {
   /** The one CSR builder. `arcs` emits every arc `(from, to, weight)` to the
     * sink it is given; it runs twice, once to count out-degrees and once to
     * place, so each vertex's arcs keep their emission order — the tie order
-    * of every search over the graph. Null coordinates become zeros.
+    * of every search over the graph.
     */
-  private def csr(n: Int, cat: Array[Int], xs: Array[Double], ys: Array[Double])(
-      arcs: ((Int, Int, Double) => Unit) => Unit): RoadGraph = {
+  private def csr(n: Int, cat: Array[Int])(arcs: ((Int, Int, Double) => Unit) => Unit): RoadGraph = {
     val idx = new Array[Int](n + 1)
     arcs((u, _, _) => idx(u + 1) += 1)
     var i = 0
@@ -153,26 +126,7 @@ object RoadGraph {
     val av  = new Array[Int](idx(n))
     val aw  = new Array[Double](idx(n))
     arcs { (u, v, w) => av(pos(u)) = v; aw(pos(u)) = w; pos(u) += 1 }
-    new RoadGraph(n, idx, av, aw, cat,
-      if (xs != null) xs else new Array[Double](n),
-      if (ys != null) ys else new Array[Double](n))
-  }
-
-  /** Rebuild a graph from its DataFrame form (inverse of `toDataFrames`). */
-  def fromDataFrames(vertices: DataFrame, edges: DataFrame, pois: DataFrame): RoadGraph = {
-    val vRows = vertices.select("vertex", "x", "y").collect()
-    val n     = vRows.length
-    val xs    = new Array[Double](n)
-    val ys    = new Array[Double](n)
-    vRows.foreach { r =>
-      val v = r.getInt(0); xs(v) = r.getDouble(1); ys(v) = r.getDouble(2)
-    }
-    val cat = Array.fill(n)(-1)
-    pois.select("poi", "category").collect().foreach { r => cat(r.getInt(0)) = r.getInt(1) }
-    val es = edges.select("src", "dst", "weight").collect().toSeq.map {
-      (r: Row) => (r.getInt(0), r.getInt(1), r.getDouble(2))
-    }
-    fromEdges(n, es, cat, xs, ys)
+    new RoadGraph(n, idx, av, aw, cat)
   }
 
   /** Connectivity check (tests + generator invariant). */

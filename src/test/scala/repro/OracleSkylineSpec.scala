@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{Bssr, BulkSkySRSpark, Query}
-import repro.data.{Datasets, PaperExample, RoadNetData, Workload}
+import repro.data.{Datasets, PaperExample, Workload}
 import repro.graph.{Dijkstra, RoadGraph}
 import repro.semantics.CategoryForest
 
@@ -90,23 +90,5 @@ class OracleSkylineSpec extends SparkSpec {
     val forest = CategoryForest.foursquareLike
     val q = Workload.queries(g, forest, 1, 3, 44L, minPois = 1).head
     check(g, forest, q)
-  }
-
-  test("generated road-network DataFrames agree with DuckDB aggregates") {
-    val (v, e, p) = RoadNetData.roadNetwork(spark, sf = 0.0004, seed = 3)
-    import org.apache.spark.sql.functions._
-    val agg = e.agg(
-      count(lit(1)) as "cnt",
-      round(sum(col("weight")), 6) as "total_w",
-      round(max(col("weight")), 6) as "max_w")
-    Oracle.assertEquivalent(agg,
-      "SELECT COUNT(*) AS cnt, ROUND(SUM(CAST(weight AS DOUBLE)), 6) AS total_w, " +
-        "ROUND(MAX(CAST(weight AS DOUBLE)), 6) AS max_w FROM edges",
-      "edges" -> e)
-    val byCat = p.groupBy("category").agg(count(lit(1)) as "n")
-    Oracle.assertEquivalent(byCat,
-      "SELECT category, COUNT(*) AS n FROM pois GROUP BY category",
-      "pois" -> p)
-    assert(v.count() > 0)
   }
 }

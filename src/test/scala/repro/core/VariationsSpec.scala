@@ -30,7 +30,7 @@ class VariationsSpec extends AnyFunSuite {
       w = g.adjWeight(i)
       arc <- Seq((u, v, w), (v, u, 1.3 * w))
     } yield arc
-    RoadGraph.fromDirectedEdges(g.numVertices, arcs, g.poiCategory, g.xs, g.ys)
+    RoadGraph.fromDirectedEdges(g.numVertices, arcs, g.poiCategory)
   }
 
   test("transpose reverses distances; undirected graphs are self-transpose") {

@@ -7,7 +7,7 @@ import repro.semantics.CategoryForest
 class RoadNetDataSpec extends AnyFunSuite {
 
   private val spec = RoadNetSpec(
-    name = "t", nRoadVertices = 200, nPois = 80, roadEdgeFactor = 1.15,
+    nRoadVertices = 200, nPois = 80, roadEdgeFactor = 1.15,
     forest = CategoryForest.foursquareLike, seed = 5L)
   private lazy val g = RoadNetData.generate(spec)
 
@@ -108,5 +108,26 @@ class RoadNetDataSpec extends AnyFunSuite {
     assert(f.nameOf(pg.poiCategory(8)) == "Gift shop")
     assert(f.nameOf(pg.poiCategory(13)) == "Gift shop")
     assert(Seq(5, 9, 12).forall(p => f.nameOf(pg.poiCategory(p)) == "A&E"))
+  }
+
+  /** SHA-256 of the CSR arrays, each weight by its raw bits. */
+  private def csrDigest(g: RoadGraph): String = {
+    val buf = java.nio.ByteBuffer.allocate(
+      4 * (g.adjIndex.length + g.adjVertex.length + g.poiCategory.length) + 8 * g.adjWeight.length)
+    g.adjIndex.foreach(buf.putInt)
+    g.adjVertex.foreach(buf.putInt)
+    g.adjWeight.foreach(w => buf.putLong(java.lang.Double.doubleToRawLongBits(w)))
+    g.poiCategory.foreach(buf.putInt)
+    java.security.MessageDigest.getInstance("SHA-256").digest(buf.array).map("%02x".format(_)).mkString
+  }
+
+  // Every benchmark and table runs on these graphs; a change to generation
+  // (RNG call order, weights, PoI placement) must show up here first.
+  test("TokyoLite, NYCLite and CalLite are pinned bit for bit") {
+    val got = Seq(Datasets.tokyoLite, Datasets.nycLite, Datasets.calLite).map(csrDigest)
+    assert(got == Seq(
+      "9b5380850f8e1de7759c4781ca533d2487a56f9d5470d9d43d84146bfd5f51ec",
+      "bfb994b4ed83ea3a559209717f41bba3c7dce4e564184d65801c0b26687747bc",
+      "5de35cdc3db25b502b25a02668e06b3015d3fb257fe90764fd0fda1265eb80ed"))
   }
 }

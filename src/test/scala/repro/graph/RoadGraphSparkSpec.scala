@@ -1,35 +1,10 @@
 package repro.graph
 
 import repro.SparkSpec
-import repro.data.{Datasets, RoadNetData}
+import repro.data.Datasets
 
-/** DataFrame round-trip + the distributed PoI-graph builder. */
+/** The distributed PoI-graph builder. */
 class RoadGraphSparkSpec extends SparkSpec {
-
-  test("toDataFrames/fromDataFrames round-trips the graph") {
-    val g = Datasets.tiny(3)
-    val (v, e, p) = g.toDataFrames(spark)
-    assert(v.count() == g.numVertices)
-    assert(e.count() == g.numEdges)
-    assert(p.count() == g.numPois)
-    val g2 = RoadGraph.fromDataFrames(v, e, p)
-    assert(g2.numVertices == g.numVertices)
-    assert(g2.poiCategory.sameElements(g.poiCategory))
-    // CSR may order neighbours differently; compare distances instead
-    for (s <- 0 until g.numVertices by 17) {
-      val d1 = Dijkstra.fromSource(g, s)
-      val d2 = Dijkstra.fromSource(g2, s)
-      assert(d1.zip(d2).forall { case (a, b) => math.abs(a - b) < 1e-12 })
-    }
-  }
-
-  test("RoadNetData.roadNetwork produces a consistent graph at small SF") {
-    val (v, e, p) = RoadNetData.roadNetwork(spark, sf = 0.0005, seed = 9)
-    val g = RoadGraph.fromDataFrames(v, e, p)
-    assert(RoadGraph.isConnected(g))
-    assert(g.numPois > 0)
-    assert(g.numPois == p.count())
-  }
 
   test("PoiDistances matches driver-side Dijkstra") {
     val g = Datasets.tiny(5)

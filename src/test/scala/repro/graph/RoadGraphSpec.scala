@@ -24,7 +24,6 @@ class RoadGraphSpec extends AnyFunSuite {
       Seq(1, 4, 0, 2, 3, 4, 1, 4, 1, 2, 0, 1),
       Seq(2.0, 3.0, 2.0, 1.5, 4.0, 2.5, 1.5, 0.5, 4.0, 0.5, 3.0, 2.5))
     assert(g.poiCategory.toSeq == cats.toSeq && !(g.poiCategory eq cats))
-    assert(g.xs.toSeq == Seq.fill(n)(0.0) && g.ys.toSeq == Seq.fill(n)(0.0))
   }
 
   test("fromDirectedEdges keeps each arc as given, in edge order") {
@@ -41,7 +40,7 @@ class RoadGraphSpec extends AnyFunSuite {
     assertCsr(t, Seq(0, 1, 3, 4, 4, 6),
       Seq(4, 0, 3, 1, 1, 2),
       Seq(3.0, 2.0, 4.0, 1.5, 2.5, 0.5))
-    assert((t.poiCategory eq g.poiCategory) && (t.xs eq g.xs) && (t.ys eq g.ys))
+    assert(t.poiCategory eq g.poiCategory)
   }
 
   private val badEdges = Seq(
