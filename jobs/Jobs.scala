@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench.Tables
+import repro.bench.{BenchUtil, Tables}
 import repro.data.{Datasets, Workload}
 import repro.spark.DistributedQueryRunner
 
@@ -80,9 +80,11 @@ object BatchQueriesJob {
     val (_, g, forest) = Datasets.all.find(_._1 == dataset)
       .getOrElse(sys.error(s"unknown dataset $dataset"))
     val qs = Workload.queries(g, forest, n, len, seed = 11L, minPois = 10)
-    val df = DistributedQueryRunner.run(spark, g, forest, qs)
-    df.show(50, truncate = false)
-    println(s"answered ${qs.size} queries; ${df.count()} skyline routes total")
+    val df   = DistributedQueryRunner.run(spark, g, forest, qs)
+    val rows = df.collect()
+    println(BenchUtil.table(s"first 50 skyline routes of $dataset", df.columns.toSeq,
+      rows.take(50).map(_.toSeq.map(_.toString)).toSeq))
+    println(s"answered ${qs.size} queries; ${rows.length} skyline routes total")
     spark.stop()
   }
 }

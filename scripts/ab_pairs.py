@@ -2,13 +2,15 @@
 """A/B pairs of skybench runs: a parent revision against this checkout.
 
     python3 scripts/ab_pairs.py --parent <rev> --workload long \
-        [--workload batch] [--pairs 10] --out BENCH_<n>.json
+        [--workload batch] [--pairs 10] [--seed0 701] \
+        [--claim batch:heap_mb] --out BENCH_<n>.json
 
 The parent side is `git archive <rev>` unpacked into a temporary directory;
 the change side is this checkout as it is on disk (uncommitted edits
 included). Each side builds into its own `.bench_build` (`CARGO_TARGET_DIR`
 is cleared for the child runs). Pair i runs both sides on seed
-`SEED0 + i`, parent first on even i and change first on odd i, each as
+`seed0 + i` (`--seed0`, default 701; a claim is rechecked on fresh seeds by
+moving it), parent first on even i and change first on odd i, each as
 
     python3 skybench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -23,6 +25,14 @@ every end-to-end metric of BENCHMARK.json, a verdict against its bound:
   - "worse": the change's median is worse than the parent's by more than
     the bound;
   - "within bound": otherwise.
+
+Each `--claim WORKLOAD:METRIC` (repeatable) adds a gain verdict for that
+end-to-end metric, in the direction BENCHMARK.json gives it:
+
+  - "gain": the change is better in at least 9 of every 10 pairs run (ties
+    and errored pairs count for neither side), and its median is better than
+    the parent's by more than the parent's interquartile range;
+  - "not met": otherwise.
 
 BENCHMARK.json is only read.
 """
@@ -42,7 +52,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED0 = 701  # seed of pair 0
 
 
 def git(*args):
@@ -122,17 +131,38 @@ def summarize(pairs, end_to_end):
     return out
 
 
+def claim(s, pairs_run):
+    """The gain verdict for one metric's summary over all pairs run."""
+    out = {"better": s.get("better"), "pairs": pairs_run,
+           "wins": s.get("change_better_pairs", 0)}
+    if "parent_median" not in s:
+        return {**out, "verdict": "not met"}
+    pm, cm = s["parent_median"], s["change_median"]
+    gain = (pm - cm) if s["better"] == "lower" else (cm - pm)
+    met = 10 * out["wins"] >= 9 * pairs_run and gain > s["parent_iqr"]
+    return {**out, "parent_median": pm, "change_median": cm, "median_gain": gain,
+            "parent_iqr": s["parent_iqr"], "verdict": "gain" if met else "not met"}
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workload", action="append", required=True,
                     help="skybench workload; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed0", type=int, default=701, help="seed of pair 0")
+    ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                    help="metric claimed to improve on a workload; repeat for several")
     ap.add_argument("--out", required=True, help="output JSON file")
     a = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    claims = [c.partition(":")[::2] for c in a.claim]
+    for w, m in claims:
+        if w not in a.workload or m not in {e["name"] for e in bench["end_to_end"]}:
+            ap.error(f"--claim {w}:{m}: want WORKLOAD:METRIC with a --workload and "
+                     "an end-to-end metric of BENCHMARK.json")
     parent_sha = git("rev-parse", a.parent).decode().strip()
     head_sha = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
@@ -156,7 +186,7 @@ def main(argv):
         for w in a.workload:
             pairs = []
             for i in range(a.pairs):
-                seed = SEED0 + i
+                seed = a.seed0 + i
                 order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
                 pair = {"seed": seed, "order": order}
                 for side in order:
@@ -165,8 +195,12 @@ def main(argv):
                           f"{json.dumps(pair[side].get('metrics', pair[side]))}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
-            result["workloads"][w] = {
-                "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
+            summary = summarize(pairs, bench["end_to_end"])
+            result["workloads"][w] = {"pairs": pairs, "summary": summary}
+            for cw, m in claims:
+                if cw == w:
+                    result["workloads"][w].setdefault("claims", {})[m] = \
+                        claim(summary[m], len(pairs))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     result["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -176,6 +210,10 @@ def main(argv):
             if isinstance(s, dict) and "verdict" in s:
                 print(f"{w} {name}: {s.get('parent_median')} -> {s.get('change_median')} "
                       f"({s['verdict']})")
+        for name, c in r.get("claims", {}).items():
+            print(f"{w} {name} claim: better in {c['wins']}/{c['pairs']} pairs, "
+                  f"median gain {c.get('median_gain')} vs parent IQR "
+                  f"{c.get('parent_iqr')} ({c['verdict']})")
     return 0
 
 

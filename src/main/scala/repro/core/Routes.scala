@@ -31,13 +31,17 @@ final case class PositionSpec(anyOf: Vector[Int], noneOf: Set[Int] = Set.empty) 
 object PositionSpec {
   def simple(c: Int): PositionSpec = PositionSpec(Vector(c))
 
+  /** Every category id of `spec` is a category of `forest`. */
+  def requireCategories(forest: CategoryForest, spec: PositionSpec): Unit =
+    (spec.anyOf ++ spec.noneOf).foreach(c =>
+      require(c >= 0 && c < forest.size, s"category id $c out of range [0, ${forest.size})"))
+
   /** Per-category similarity table for a spec (0 for negated categories):
     * the semantic hierarchy filter of one query position (Eq. 6/7). Every
     * similarity table of the search paths is built here.
     */
   def simTable(forest: CategoryForest, spec: PositionSpec): Array[Double] = {
-    (spec.anyOf ++ spec.noneOf).foreach(c =>
-      require(c >= 0 && c < forest.size, s"category id $c out of range [0, ${forest.size})"))
+    requireCategories(forest, spec)
     Array.tabulate(forest.size) { c =>
       if (spec.noneOf.contains(c)) 0.0
       else spec.anyOf.map(a => forest.sim(a, c)).max
@@ -68,16 +72,25 @@ final class QuerySetup(
 
 object QuerySetup {
 
-  /** Validates the category sequence (non-empty), the start and destination
-    * vertices and (through `simTable`) every category id, then builds the
-    * setup. The destination search is counted in `metrics`.
+  /** The checks that need no table: the category sequence is non-empty and
+    * the start, the destination and every category id are in range. Throws
+    * `IllegalArgumentException` naming the bad value.
+    */
+  def validate(g: RoadGraph, forest: CategoryForest, start: Int,
+               specs: Vector[PositionSpec], destination: Option[Int]): Unit = {
+    require(specs.nonEmpty, "empty category sequence")
+    g.requireVertex(start, "start")
+    destination.foreach(g.requireVertex(_, "destination"))
+    specs.foreach(PositionSpec.requireCategories(forest, _))
+  }
+
+  /** Validates the query, then builds the setup. The destination search is
+    * counted in `metrics`.
     */
   def apply(g: RoadGraph, forest: CategoryForest, start: Int,
             specs: Vector[PositionSpec], destination: Option[Int],
             metrics: SearchMetrics = null): QuerySetup = {
-    require(specs.nonEmpty, "empty category sequence")
-    g.requireVertex(start, "start")
-    destination.foreach(g.requireVertex(_, "destination"))
+    validate(g, forest, start, specs, destination)
     val simPos = specs.toArray.map(PositionSpec.simTable(forest, _))
     val present = g.poisByCategory.keys
     val matchSets = simPos.map(t => present.filter(c => t(c) > 0.0).toSet)

@@ -4,12 +4,15 @@ import repro.SparkSpec
 import repro.baselines.{BaselineMetrics, IterativeOsr}
 import repro.data.{Datasets, Workload}
 import repro.semantics.CategoryForest
+import repro.spark.DistributedQueryRunner
 
 /** Empty category sequences and out-of-range start vertices, destinations
   * and category ids fail at the API boundary of each entry point with an
   * `IllegalArgumentException` that names the bad value, instead of deep
-  * inside a search. Iterated OSR, which has no destination leg, rejects
-  * every destination the same way.
+  * inside a search. The batch runner checks every query of the batch
+  * before it builds the job, so its bad query (after a good one) throws
+  * from `run` itself, before any job starts. Iterated OSR, which has no
+  * destination leg, rejects every destination the same way.
   */
 class InputValidationSpec extends SparkSpec {
 
@@ -24,6 +27,8 @@ class InputValidationSpec extends SparkSpec {
   private val entryPoints: Seq[(String, Query => Unit)] = Seq(
     "Bssr.run"            -> (query => new Bssr(g, forest).run(query)),
     "BulkSkySRSpark.run"  -> (query => BulkSkySRSpark.run(spark, g, forest, query)),
+    "DistributedQueryRunner.run" -> (query =>
+      DistributedQueryRunner.run(spark, g, forest, Seq(q, query))),
     "IterativeOsr.skySR"  -> (query =>
       IterativeOsr.skySR(g, forest, query, useDij = true, new BaselineMetrics)),
   )
