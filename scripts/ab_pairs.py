@@ -26,6 +26,11 @@ every end-to-end metric of BENCHMARK.json, a verdict against its bound:
     the bound;
   - "within bound": otherwise.
 
+Each workload also gets one traced pair, both sides on seed 1 with
+`--trace 1` (parent first), kept under `traced`: the per-layer metrics of
+each side plus its `answers.digest` and `counters` notes, so the digests and
+search counters of the two sides can be compared.
+
 Each `--claim WORKLOAD:METRIC` (repeatable) adds a gain verdict for that
 end-to-end metric, in the direction BENCHMARK.json gives it:
 
@@ -70,18 +75,27 @@ def child_env():
     return env
 
 
-def run_once(side_root, workload, seed, seconds):
-    """One skybench run; its final JSON line, or an error record."""
+TRACED_SEED = 1
+TRACED_NOTES = ("# answers.digest", "# counters")
+
+
+def run_once(side_root, workload, seed, seconds, trace=0):
+    """One skybench run: its final JSON line, plus the digest and counter
+    notes when traced; or an error record."""
     cmd = [sys.executable, "skybench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=side_root, env=child_env(),
                        capture_output=True, text=True)
     lines = [ln for ln in p.stdout.splitlines() if ln.strip()]
     if p.returncode == 0 and lines:
         try:
-            return json.loads(lines[-1])
+            result = json.loads(lines[-1])
         except json.JSONDecodeError:
             pass
+        else:
+            if trace:
+                result["notes"] = [ln[2:] for ln in lines if ln.startswith(TRACED_NOTES)]
+            return result
     return {"error": f"exit {p.returncode}", "stderr_tail": p.stderr[-2000:]}
 
 
@@ -174,6 +188,7 @@ def main(argv):
                  "python": platform.python_version()},
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "run": f"skybench/run.py --seconds {seconds} --trace 0",
+        "traced_run": f"skybench/run.py --seed {TRACED_SEED} --seconds {seconds} --trace 1",
         "workloads": {},
     }
     tmp = Path(tempfile.mkdtemp(prefix="ab_pairs_"))
@@ -196,7 +211,13 @@ def main(argv):
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             summary = summarize(pairs, bench["end_to_end"])
-            result["workloads"][w] = {"pairs": pairs, "summary": summary}
+            traced = {"seed": TRACED_SEED}
+            for side in ("parent", "change"):
+                traced[side] = run_once(sides[side], w, TRACED_SEED, seconds, trace=1)
+                print(f"ab_pairs: {w} traced {side}: "
+                      f"{json.dumps(traced[side].get('notes', traced[side]))}",
+                      file=sys.stderr, flush=True)
+            result["workloads"][w] = {"pairs": pairs, "summary": summary, "traced": traced}
             for cw, m in claims:
                 if cw == w:
                     result["workloads"][w].setdefault("claims", {})[m] = \
@@ -210,6 +231,9 @@ def main(argv):
             if isinstance(s, dict) and "verdict" in s:
                 print(f"{w} {name}: {s.get('parent_median')} -> {s.get('change_median')} "
                       f"({s['verdict']})")
+        notes = {side: r["traced"][side].get("notes") for side in ("parent", "change")}
+        print(f"{w} traced seed {TRACED_SEED}: digest and counter notes "
+              f"{'match' if notes['parent'] == notes['change'] else 'differ'}")
         for name, c in r.get("claims", {}).items():
             print(f"{w} {name} claim: better in {c['wins']}/{c['pairs']} pairs, "
                   f"median gain {c.get('median_gain')} vs parent IQR "

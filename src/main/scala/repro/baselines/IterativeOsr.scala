@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Query, QuerySetup, SRoute, Skyline}
+import repro.core.{PositionSpec, Query, QuerySetup, SRoute, Skyline}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -21,15 +21,17 @@ import scala.collection.mutable
 object IterativeOsr {
 
   /** Distinct positive similarity levels per position, over categories that
-    * actually carry PoIs, descending.
+    * actually carry PoIs, descending; read off the positions' `simTable`s.
     */
-  def simLevels(g: RoadGraph, forest: CategoryForest, query: Query): Array[Array[Double]] = {
+  def simLevels(g: RoadGraph, simTables: Array[Array[Double]]): Array[Array[Double]] = {
     val present = g.poisByCategory.keys.toArray
-    query.categories.toArray.map(c => forest.simLevels(c, present).toArray)
+    simTables.map(t => present.map(t(_)).filter(_ > 0.0).distinct.sorted.reverse)
   }
 
-  def comboCount(g: RoadGraph, forest: CategoryForest, query: Query): Long =
-    simLevels(g, forest, query).map(_.length.toLong).product
+  def comboCount(g: RoadGraph, forest: CategoryForest, query: Query): Long = {
+    val simTables = query.specs.toArray.map(PositionSpec.simTable(forest, _))
+    simLevels(g, simTables).map(_.length.toLong).product
+  }
 
   /** Exact SkySR via iterated OSR. `useDij` picks the Dijkstra-based OSR
     * solver, otherwise PNE. Budget caps mark the run `aborted` (the paper's
@@ -49,7 +51,7 @@ object IterativeOsr {
     require(query.destination.isEmpty,
       s"iterated OSR answers only queries without a destination (got destination ${query.destination.get})")
     val simTables = QuerySetup(g, forest, query.start, query.specs, None).simPos
-    val levels    = simLevels(g, forest, query)
+    val levels    = simLevels(g, simTables)
     val k         = query.size
     val candidates = mutable.ArrayBuffer.empty[SRoute]
     def rec(pos: Int, mins: List[Double]): Unit = {

@@ -17,8 +17,9 @@ import repro.semantics.CategoryForest
   *  2. Build the PoI graph distributedly: bounded Dijkstras from the start
   *     and every semantically matching PoI, in parallel over a broadcast
   *     CSR ([[repro.graph.PoiDistances]]), one row per matched position.
-  *  3. Grow routes level-synchronously with Catalyst: join the frontier
-  *     with the level's rows of the PoI graph, then prune —
+  *  3. Grow routes level-synchronously with Catalyst: level 0 is the
+  *     start's rows of the PoI graph; each later level joins the frontier
+  *     with the level's rows of the PoI graph. Every level is then pruned —
   *     (a) globally via Lemma 5.3 against `L0` plus the `l_s` suffix bounds
   *     of Def. 5.7, and (b) per end-PoI with one window-function skyline
   *     (routes ending at the same PoI at the same level share all futures,
@@ -68,11 +69,17 @@ object BulkSkySRSpark {
       .join(posPoi, "dst")
       .cache()
 
-    // Phase 3: level-synchronous growth.
-    var routes: DataFrame = Seq((Array.empty[Int], query.start, 0.0, 1.0))
-      .toDF("pois", "endV", "len", "prod")
-    for (i <- 0 until k) {
-      val joined = routes.alias("r")
+    // Phase 3: level-synchronous growth from the start's rows at level 0.
+    // Each level is pruned by Lemma 5.3 against L0 (with L0 = +∞ this keeps
+    // every route that can still complete) and, below the last, per end-PoI.
+    def prune(level: DataFrame, i: Int): DataFrame =
+      if (i < k - 1)
+        skylinePerEnd(level.where($"len" + lit(lsSuf(i + 1)) < lit(l0)), usedSetState)
+      else level.where($"len" <= lit(l0))
+    val level0 = poiGraph.where($"pos" === 0 && $"src" === query.start)
+      .select(array($"dst") as "pois", $"dst" as "endV", $"dist" as "len", $"sim" as "prod")
+    val routes = (1 until k).foldLeft(prune(level0, 0)) { (frontier, i) =>
+      prune(frontier.alias("r")
         .join(poiGraph.where($"pos" === i).alias("d"), col("r.endV") === col("d.src"))
         .where(!array_contains(col("r.pois"), col("d.dst")))
         .select(
@@ -80,15 +87,7 @@ object BulkSkySRSpark {
           col("d.dst") as "endV",
           (col("r.len") + col("d.dist")) as "len",
           (col("r.prod") * col("d.sim")) as "prod",
-        )
-      // Global branch-and-bound filter (Lemma 5.3 with the s=0 seed route).
-      val bounded =
-        if (l0.isInfinity) joined
-        else if (i < k - 1) joined.where($"len" + lit(lsSuf(i + 1)) < lit(l0))
-        else joined.where($"len" <= lit(l0))
-      routes =
-        if (i < k - 1) skylinePerEnd(bounded, includeUsedSet = usedSetState)
-        else bounded
+        ), i)
     }
 
     val complete = routes.select("pois", "len", "prod").collect().toVector

@@ -72,14 +72,16 @@ final class QuerySetup(
 
 object QuerySetup {
 
-  /** The checks that need no table: the category sequence is non-empty and
-    * the start, the destination and every category id are in range. Throws
-    * `IllegalArgumentException` naming the bad value.
+  /** The checks that need no table: the category sequence is non-empty, the
+    * start, the destination and every category id are in range, and the start
+    * is a road vertex (DESIGN.md §6b). Throws `IllegalArgumentException`
+    * naming the bad value.
     */
   def validate(g: RoadGraph, forest: CategoryForest, start: Int,
                specs: Vector[PositionSpec], destination: Option[Int]): Unit = {
     require(specs.nonEmpty, "empty category sequence")
     g.requireVertex(start, "start")
+    require(!g.isPoi(start), s"start vertex $start is a PoI; a query starts at a road vertex")
     destination.foreach(g.requireVertex(_, "destination"))
     specs.foreach(PositionSpec.requireCategories(forest, _))
   }

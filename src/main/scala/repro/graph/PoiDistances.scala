@@ -6,7 +6,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * source vertices to target PoIs, computed as one bounded Dijkstra per
   * source over a broadcast CSR graph, parallelized across the cluster. The
   * resulting `(src, dst, dist)` DataFrame is what the bulk SkySR pipeline
-  * joins against level by level.
+  * joins against level by level. The build is one RDD stage: `parallelize`
+  * slices the sources, so no shuffle precedes the searches.
   */
 object PoiDistances {
 
@@ -18,11 +19,10 @@ object PoiDistances {
       bound: Double,
   ): DataFrame = {
     import spark.implicits._
-    val bg   = spark.sparkContext.broadcast(g)
-    val parts = math.max(1, math.min(sources.size, spark.sparkContext.defaultParallelism * 2))
-    spark
-      .createDataset(sources)
-      .repartition(parts)
+    val sc    = spark.sparkContext
+    val bg    = sc.broadcast(g)
+    val parts = math.max(1, math.min(sources.size, sc.defaultParallelism * 2))
+    sc.parallelize(sources, parts)
       .mapPartitions { it =>
         val graph = bg.value
         it.flatMap { s =>

@@ -89,13 +89,6 @@ final class CategoryForest private (
 
   lazy val roots: Array[Int] = categories.filter(isRoot).toArray
 
-  /** Distinct positive similarity values realizable against query category
-    * `c` over the given set of present (PoI-carrying) categories, sorted
-    * descending. Drives the baseline's similarity-level enumeration.
-    */
-  def simLevels(c: Int, present: Iterable[Int]): Seq[Double] =
-    present.iterator.map(sim(c, _)).filter(_ > 0.0).toSeq.distinct.sorted.reverse
-
   def nameOf(c: Int): String = names(c)
   def idOf(name: String): Int = {
     val i = names.indexOf(name)

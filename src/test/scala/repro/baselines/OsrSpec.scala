@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.Query
+import repro.core.{PositionSpec, Query}
 import repro.data.{Datasets, Workload}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
@@ -80,10 +80,24 @@ class OsrSpec extends AnyFunSuite {
     }
   }
 
+  private def simLevels(g: RoadGraph, q: Query): Array[Array[Double]] =
+    IterativeOsr.simLevels(g, q.specs.toArray.map(PositionSpec.simTable(forest, _)))
+
+  test("simLevels are distinct, descending, positive") {
+    val (g, _) = graphFor(1)
+    for (c <- forest.leaves) {
+      val ls = simLevels(g, Query(0, Vector(c))).head.toSeq
+      assert(ls == ls.distinct)
+      assert(ls == ls.sorted.reverse)
+      assert(ls.forall(x => x > 0 && x <= 1))
+      assert(ls.contains(1.0) == g.poisByCategory.contains(c))
+    }
+  }
+
   test("combo count is the product of per-position similarity levels") {
     val (g, _) = graphFor(1)
     val q = Workload.queries(g, forest, 1, 3, 3L, minPois = 1).head
-    val levels = IterativeOsr.simLevels(g, forest, q)
+    val levels = simLevels(g, q)
     assert(IterativeOsr.comboCount(g, forest, q) == levels.map(_.length.toLong).product)
     levels.foreach(ls => assert(ls.nonEmpty && ls.head == 1.0))
   }
@@ -91,9 +105,7 @@ class OsrSpec extends AnyFunSuite {
   test("combo count grows exponentially with |Sq| (the naive blow-up of §4)") {
     val (g, _) = graphFor(2)
     // fix one category with >= 2 similarity levels and grow the sequence
-    val c = forest.leaves.find { c =>
-      IterativeOsr.simLevels(g, forest, Query(0, Vector(c))).head.length >= 2
-    }.get
+    val c = forest.leaves.find(c => IterativeOsr.comboCount(g, forest, Query(0, Vector(c))) >= 2).get
     val counts = (2 to 4).map(len => IterativeOsr.comboCount(g, forest, Query(0, Vector.fill(len)(c))))
     assert(counts(0) < counts(1) && counts(1) < counts(2))
   }

@@ -63,6 +63,21 @@ class BulkSkySRSparkSpec extends SparkSpec {
       Exhaustive.skySR(g, forest, q))
   }
 
+  // No PoI carries a root category, so no route matches a root position
+  // perfectly: NNinit finds no perfect route and L0 = +∞.
+  test("Spark pipeline == exhaustive == BSSR when no perfect route exists (L0 = +∞)") {
+    val g    = Datasets.tiny(5)
+    val root = forest.idOf("Food")
+    val leaf = Workload.eligibleCategories(g, forest, 1).find(!forest.sameTree(_, root)).get
+    for (cats <- Seq(Vector(root, leaf), Vector(leaf, root), Vector(root))) {
+      val q     = Query(0, cats)
+      val truth = Exhaustive.skySR(g, forest, q)
+      assert(truth.nonEmpty && truth.forall(_.semScore > 0.0), s"$q has a perfect route")
+      TestUtil.assertSameSkyline(s"spark $q", BulkSkySRSpark.run(spark, g, forest, q), truth)
+      TestUtil.assertSameSkyline(s"bssr $q", new Bssr(g, forest).run(q).skyline, truth)
+    }
+  }
+
   test("per-end-PoI skyline prune keeps exactly the non-dominated partials") {
     import spark.implicits._
     val df = Seq(

@@ -6,8 +6,9 @@ import repro.data.{Datasets, Workload}
 import repro.semantics.CategoryForest
 import repro.spark.DistributedQueryRunner
 
-/** Empty category sequences and out-of-range start vertices, destinations
-  * and category ids fail at the API boundary of each entry point with an
+/** Empty category sequences, out-of-range start vertices, destinations
+  * and category ids, and start vertices that are PoIs (a query starts at a
+  * road vertex) fail at the API boundary of each entry point with an
   * `IllegalArgumentException` that names the bad value, instead of deep
   * inside a search. The batch runner checks every query of the batch
   * before it builds the job, so its bad query (after a good one) throws
@@ -21,6 +22,7 @@ class InputValidationSpec extends SparkSpec {
   private val q      = Workload.queries(g, forest, 1, 2, 5L, minPois = 1).head
 
   private val badStart = g.numVertices + 5
+  private val poiStart = g.pois.head
   private val badDest  = -7
   private val badCat   = forest.size + 3
 
@@ -41,6 +43,9 @@ class InputValidationSpec extends SparkSpec {
   for ((name, run) <- entryPoints) {
     test(s"$name rejects an out-of-range start vertex") {
       assertRejects(q.copy(start = badStart), badStart, run)
+    }
+    test(s"$name rejects a start vertex that is a PoI") {
+      assertRejects(q.copy(start = poiStart), poiStart, run)
     }
     test(s"$name rejects an out-of-range destination") {
       assertRejects(q.copy(destination = Some(badDest)), badDest, run)

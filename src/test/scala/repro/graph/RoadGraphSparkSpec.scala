@@ -1,10 +1,12 @@
 package repro.graph
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
 import repro.SparkSpec
 import repro.data.Datasets
 
 /** The distributed PoI-graph builder. */
-class RoadGraphSparkSpec extends SparkSpec {
+class RoadGraphSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("PoiDistances matches driver-side Dijkstra") {
     val g = Datasets.tiny(5)
@@ -33,5 +35,13 @@ class RoadGraphSparkSpec extends SparkSpec {
     }
     val expected = g.pois.count(p => p != 0 && g.poiCategory(p) == someCat && d0(p) <= bound)
     assert(rows.length == expected)
+  }
+
+  test("the PoI-graph build is one stage: the physical plan has no exchange") {
+    val g  = Datasets.tiny(5)
+    val df = PoiDistances.build(spark, g, Seq(0, 3, 7), g.poisByCategory.keySet,
+      bound = Double.PositiveInfinity)
+    val plan = df.queryExecution.executedPlan
+    assert(collect(plan) { case e: Exchange => e }.isEmpty, plan.toString)
   }
 }

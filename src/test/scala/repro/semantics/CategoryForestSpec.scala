@@ -107,17 +107,6 @@ class CategoryForestSpec extends AnyFunSuite {
     }
   }
 
-  test("simLevels are distinct, descending, positive") {
-    val present = fs.nonRoots.toSeq
-    for (c <- fs.leaves) {
-      val ls = fs.simLevels(c, present)
-      assert(ls == ls.distinct)
-      assert(ls == ls.sorted.reverse)
-      assert(ls.forall(x => x > 0 && x <= 1))
-      assert(ls.contains(1.0)) // c itself is present
-    }
-  }
-
   test("sim monotone along ancestor chain: deeper common ancestor → higher sim") {
     val c = fs.idOf("Jazz Club")
     val chain = fs.ancestorsOf(c) // Jazz Club, Music Venue, A&E
