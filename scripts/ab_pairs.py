@@ -29,7 +29,9 @@ every end-to-end metric of BENCHMARK.json, a verdict against its bound:
 Each workload also gets one traced pair, both sides on seed 1 with
 `--trace 1` (parent first), kept under `traced`: the per-layer metrics of
 each side plus its `answers.digest` and `counters` notes, so the digests and
-search counters of the two sides can be compared.
+search counters of the two sides can be compared. The summary prints
+whether the notes match and every traced per-layer metric whose value
+differs between the two sides (parent -> change).
 
 Each `--claim WORKLOAD:METRIC` (repeatable) adds a gain verdict for that
 end-to-end metric, in the direction BENCHMARK.json gives it:
@@ -234,6 +236,12 @@ def main(argv):
         notes = {side: r["traced"][side].get("notes") for side in ("parent", "change")}
         print(f"{w} traced seed {TRACED_SEED}: digest and counter notes "
               f"{'match' if notes['parent'] == notes['change'] else 'differ'}")
+        layers = {side: {k: v.get("value") for k, v in r["traced"][side].get("metrics", {}).items()}
+                  for side in ("parent", "change")}
+        for name in sorted(layers["parent"].keys() | layers["change"].keys()):
+            old, new = layers["parent"].get(name), layers["change"].get(name)
+            if old != new:
+                print(f"{w} traced {name}: {old} -> {new}")
         for name, c in r.get("claims", {}).items():
             print(f"{w} {name} claim: better in {c['wins']}/{c['pairs']} pairs, "
                   f"median gain {c.get('median_gain')} vs parent IQR "

@@ -220,10 +220,7 @@ object Tables {
     val cats = categories.map(forest.idOf).toVector
     cats.foreach(c => require(g.poisByCategory.contains(c),
       s"no PoIs with category ${forest.nameOf(c)} — regenerate dataset"))
-    val rnd = new scala.util.Random(startSeed)
-    var start = rnd.nextInt(g.numVertices)
-    while (g.isPoi(start)) start = rnd.nextInt(g.numVertices)
-    val q = Query(start, cats)
+    val q = Query(Workload.roadVertex(g, new scala.util.Random(startSeed)), cats)
     val sky = BulkSkySRSpark.run(spark, g, forest, q)
     (q, sky.map(r => RouteRow(r.length * MetersPerDegree,
       r.pois.map(p => forest.nameOf(g.poiCategory(p))), r.semScore)))

@@ -16,7 +16,8 @@ import repro.semantics.CategoryForest
   *     optimization BSSR uses); `L0` = best perfect-match length.
   *  2. Build the PoI graph distributedly: bounded Dijkstras from the start
   *     and every semantically matching PoI, in parallel over a broadcast
-  *     CSR ([[repro.graph.PoiDistances]]), one row per matched position.
+  *     CSR ([[repro.graph.PoiDistances]]), one row per matched position,
+  *     looked up by the target's category in the same stage (no join).
   *  3. Grow routes level-synchronously with Catalyst: level 0 is the
   *     start's rows of the PoI graph; each later level joins the frontier
   *     with the level's rows of the PoI graph. Every level is then pruned —
@@ -54,19 +55,16 @@ object BulkSkySRSpark {
     val (legS, _, legSrcs) = LowerBounds.legsTables(g, simPos, query.start, l0)
     val lsSuf = LowerBounds.suffixSums(legS)
 
-    // Phase 2: PoI graph from the start and the leg sources (the L0 ball),
-    // with one row per position its target matches: the semantic filter.
+    // Phase 2: PoI graph from the start and the leg sources (the L0 ball), with
+    // one row per `(pos, sim)` of its target's category: the semantic filter.
     val sourcePois = legSrcs.iterator.flatten.distinct.toSeq
-    val targets = forest.categories.filter(c => simPos.exists(_(c) > 0.0)).toSet
-    val posPoi = (for {
-      i <- 0 until k
-      p <- g.pois.toSeq
-      sim = simPos(i)(g.poiCategory(p))
-      if sim > 0.0
-    } yield (i, p, sim)).toDF("pos", "dst", "sim")
+    val posSims = forest.categories.map(c =>
+      (0 until k).map(i => (i, simPos(i)(c))).filter(_._2 > 0.0))
+    val targets = forest.categories.filter(posSims(_).nonEmpty).toSet
     val poiGraph = PoiDistances
       .build(spark, g, query.start +: sourcePois, targets, l0)
-      .join(posPoi, "dst")
+      .select($"src", $"dst", $"dist", explode(element_at(typedLit(posSims), $"cat" + 1)) as "ps")
+      .select($"src", $"dst", $"dist", $"ps._1" as "pos", $"ps._2" as "sim")
       .cache()
 
     // Phase 3: level-synchronous growth from the start's rows at level 0.

@@ -7,7 +7,7 @@ import repro.semantics.CategoryForest
 import scala.util.Random
 
 /** Query workload generator following the paper's protocol (§7.1): start
-  * points drawn uniformly from the map's vertices; categories drawn from
+  * points drawn uniformly from the map's road vertices; categories drawn from
   * leaf categories that carry many PoIs, with all positions in *different*
   * category trees (which also makes the distinct-PoI constraint of
   * Def. 3.4-iii vacuous — see DESIGN.md §6).
@@ -39,10 +39,11 @@ object Workload {
         val cs = byTree(t)
         cs(rnd.nextInt(cs.length))
       }
-      // start points come from the road vertices (the paper's V, not P)
-      var start = rnd.nextInt(g.numVertices)
-      while (g.isPoi(start)) start = rnd.nextInt(g.numVertices)
-      Query(start, cats.toVector)
+      Query(roadVertex(g, rnd), cats.toVector)
     }
   }
+
+  /** A start vertex drawn uniformly from the road vertices (the paper's V, not P). */
+  def roadVertex(g: RoadGraph, rnd: Random): Int =
+    Iterator.continually(rnd.nextInt(g.numVertices)).find(!g.isPoi(_)).get
 }

@@ -4,10 +4,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Distributed builder of the PoI graph: network distances from a set of
   * source vertices to target PoIs, computed as one bounded Dijkstra per
-  * source over a broadcast CSR graph, parallelized across the cluster. The
-  * resulting `(src, dst, dist)` DataFrame is what the bulk SkySR pipeline
-  * joins against level by level. The build is one RDD stage: `parallelize`
-  * slices the sources, so no shuffle precedes the searches.
+  * source over a broadcast CSR graph, parallelized across the cluster. Each
+  * `(src, dst, dist, cat)` row carries the target's category, by which the
+  * bulk SkySR pipeline attaches the target's positions without a join. The
+  * build is one RDD stage: `parallelize` slices the sources, so no shuffle.
   */
 object PoiDistances {
 
@@ -29,9 +29,9 @@ object PoiDistances {
           val dist = Dijkstra.fromSource(graph, s, bound)
           graph.pois.iterator
             .filter(p => p != s && targetCategories.contains(graph.poiCategory(p)) && dist(p) <= bound)
-            .map(p => (s, p, dist(p)))
+            .map(p => (s, p, dist(p), graph.poiCategory(p)))
         }
       }
-      .toDF("src", "dst", "dist")
+      .toDF("src", "dst", "dist", "cat")
   }
 }

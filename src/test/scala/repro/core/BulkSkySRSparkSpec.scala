@@ -1,12 +1,20 @@
 package repro.core
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+
+import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.Exhaustive
 import repro.data.{Datasets, PaperExample, Workload}
 import repro.semantics.CategoryForest
 
 /** The distributed DataFrame pipeline must be exactly the sequential BSSR. */
-class BulkSkySRSparkSpec extends SparkSpec {
+class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private val forest = CategoryForest.foursquareLike
 
@@ -118,5 +126,42 @@ class BulkSkySRSparkSpec extends SparkSpec {
       TestUtil.assertSameSkyline(s"tokyo $q", dist, new Bssr(g, forest).run(q).skyline)
       TestUtil.assertRouteScores(g, forest, q, dist)
     }
+  }
+
+  /** The executed plans of the queries `body` runs. Listener events arrive
+    * asynchronously but in order, so one marker query before and one after
+    * `body` bracket its plans.
+    */
+  private def executedPlans(body: => Unit): Seq[SparkPlan] = {
+    val seen = new LinkedBlockingQueue[SparkPlan]
+    val listener = new QueryExecutionListener {
+      def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = seen.put(qe.executedPlan)
+      def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    def marker(name: String): Unit = spark.range(1).select(lit(1) as name).collect()
+    def until(name: String): Seq[SparkPlan] =
+      Iterator.continually(Option(seen.poll(60, TimeUnit.SECONDS)).getOrElse(fail(s"no $name")))
+        .takeWhile(_.output.map(_.name) != Seq(name)).toSeq
+    spark.listenerManager.register(listener)
+    try {
+      marker("plans_begin")
+      until("plans_begin")
+      body
+      marker("plans_end")
+      until("plans_end")
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  // The PoI graph's positions are attached in the stage that computes its
+  // distances: no query plan embeds a driver-built relation, and the cached
+  // PoI graph is computed without an exchange.
+  test("the pipeline's plans hold no local relation and its cached PoI graph no exchange") {
+    val g = Datasets.tiny(1)
+    val q = Workload.queries(g, forest, 1, 3, 34L, minPois = 1).head
+    val plans  = executedPlans(BulkSkySRSpark.run(spark, g, forest, q))
+    val cached = plans.flatMap(p => collect(p) { case s: InMemoryTableScanExec => s.relation.cachedPlan })
+    assert(cached.nonEmpty, plans.mkString("\n"))
+    (plans ++ cached).foreach(p => assert(collect(p) { case l: LocalTableScanExec => l }.isEmpty, p.toString))
+    cached.foreach(p => assert(collect(p) { case e: Exchange => e }.isEmpty, p.toString))
   }
 }

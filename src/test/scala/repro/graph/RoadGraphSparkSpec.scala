@@ -12,13 +12,15 @@ class RoadGraphSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val g = Datasets.tiny(5)
     val sources = Seq(0, 3, 7)
     val cats = g.poisByCategory.keySet
-    val rows = PoiDistances.build(spark, g, sources, cats, bound = Double.PositiveInfinity)
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
+    val collected = PoiDistances.build(spark, g, sources, cats, bound = Double.PositiveInfinity)
+      .collect().map(r => ((r.getInt(0), r.getInt(1)), (r.getDouble(2), r.getInt(3))))
+    val rows = collected.toMap
+    assert(collected.length == rows.size && rows.size == sources.map(s => g.pois.count(_ != s)).sum)
     sources.foreach { s =>
       val d = Dijkstra.fromSource(g, s)
       g.pois.filter(_ != s).foreach { p =>
         assert(rows.contains((s, p)), s"missing pair $s->$p")
-        assert(math.abs(rows((s, p)) - d(p)) < 1e-12)
+        assert(rows((s, p)) == ((d(p), g.poiCategory(p))), s"pair $s->$p")
       }
     }
   }
