@@ -187,7 +187,7 @@ final class Bssr(
       }
 
     // ---- Optimization 4: on-the-fly cache (§5.3.4) -----------------------
-    val cache = mutable.HashMap.empty[Long, Bssr.CacheEntry]
+    val cache = mutable.LongMap.empty[Bssr.CacheEntry]
     var firstSearch = true
 
     /** Modified Dijkstra (Algorithm 2): find PoIs semantically matching the
@@ -208,74 +208,83 @@ final class Bssr(
 
       val key = src.toLong * (k + 1) + posIdx
       val needed = radiusNow()
-      val cached = cache.get(key)
-      cached match {
-        case Some(e) if e.radius >= needed =>
-          metrics.cacheHits += 1
-          val it = e.results.iterator
-          while (it.hasNext) {
-            val (u, d, s) = it.next()
-            if (d < needed) processCandidate(parent, u, d, s)
-          }
-        case _ =>
-          metrics.mDijkstraRuns += 1
-          val w0 = metrics.search.weightSum
-          val results = mutable.ArrayBuffer.empty[(Int, Double, Double)]
-          var finalRadius = Inf
-          // The radius moves only when the skyline gains a route.
-          var rad = needed
+      val cached = cache.getOrNull(key)
+      if (cached != null && cached.radius >= needed) {
+        metrics.cacheHits += 1
+        var i = 0
+        while (i < cached.count) {
+          val d = cached.dists(i)
+          if (d < needed) processCandidate(parent, cached.pois(i), d, cached.sims(i))
+          i += 1
+        }
+      } else {
+        metrics.mDijkstraRuns += 1
+        val found = new Bssr.CacheEntry
+        // The radius moves only when the skyline gains a route.
+        var rad = needed
+        // Counted in locals and written back when the run ends; nothing the
+        // run calls reads them, and the additions keep their order.
+        val w0      = metrics.search.weightSum
+        var settled = metrics.search.settled
+        var relaxed = metrics.search.relaxed
+        var wsum    = w0
+        val adjIndex  = g.adjIndex
+        val adjVertex = g.adjVertex
+        val adjWeight = g.adjWeight
+        val lemma55   = !overlapping(posIdx)
 
-          stamp += 1
-          val st = stamp
-          pq.clear()
-          dist(src) = 0.0; simPath(src) = 0.0; stampArr(src) = st
-          pq.push(0.0, src, src)
-          var break = false
-          while (pq.nonEmpty && !break) {
-            val d = pq.minKey
-            val u = pq.minVertex
-            pq.pop()
-            if (settledArr(u) != st) {
-              // On break, everything strictly below the breaking entry's
-              // distance has been settled, so `d` (≥ rad) is the sound —
-              // and larger — radius to record for the cache.
-              if (d >= rad) { break = true; finalRadius = d }
-              else {
-                settledArr(u) = st
-                metrics.search.settled += 1
-                val sim = g.poiSim(sims, u)
-                val lemma55 = !overlapping(posIdx)
-                if (sim > 0.0 && u != src && (!lemma55 || sim > simPath(u))) {
-                  results += ((u, d, sim))
-                  if (processCandidate(parent, u, d, sim)) rad = radiusNow()
-                }
-                if (!lemma55 || sim != 1.0) { // Lemma 5.5: perfect matches absorb the search
-                  val sp = math.max(simPath(u), sim)
-                  var i = g.adjIndex(u)
-                  while (i < g.adjIndex(u + 1)) {
-                    val v = g.adjVertex(i)
-                    val w = g.adjWeight(i)
-                    metrics.search.relaxed += 1
-                    metrics.search.weightSum += w
-                    val nd = d + w
-                    if (stampArr(v) != st || nd < dist(v)) {
-                      dist(v) = nd; simPath(v) = sp; stampArr(v) = st
-                      pq.push(nd, v, src)
-                    }
-                    i += 1
+        stamp += 1
+        val st = stamp
+        pq.clear()
+        dist(src) = 0.0; simPath(src) = 0.0; stampArr(src) = st
+        pq.push(0.0, src, src)
+        var break = false
+        while (pq.nonEmpty && !break) {
+          val d = pq.minKey
+          val u = pq.minVertex
+          pq.pop()
+          if (settledArr(u) != st) {
+            // On break, everything strictly below the breaking entry's
+            // distance has been settled, so `d` (≥ rad) is the sound —
+            // and larger — radius to record for the cache.
+            if (d >= rad) { break = true; found.radius = d }
+            else {
+              settledArr(u) = st
+              settled += 1
+              val sim = g.poiSim(sims, u)
+              if (sim > 0.0 && u != src && (!lemma55 || sim > simPath(u))) {
+                found.add(u, d, sim)
+                if (processCandidate(parent, u, d, sim)) rad = radiusNow()
+              }
+              if (!lemma55 || sim != 1.0) { // Lemma 5.5: perfect matches absorb the search
+                val sp = math.max(simPath(u), sim)
+                var i = adjIndex(u)
+                val end = adjIndex(u + 1)
+                while (i < end) {
+                  val v = adjVertex(i)
+                  val w = adjWeight(i)
+                  relaxed += 1
+                  wsum += w
+                  val nd = d + w
+                  if (stampArr(v) != st || nd < dist(v)) {
+                    dist(v) = nd; simPath(v) = sp; stampArr(v) = st
+                    pq.push(nd, v, src)
                   }
+                  i += 1
                 }
               }
             }
           }
-          if (firstSearch) {
-            metrics.firstSearchWeightSum = metrics.search.weightSum - w0
-            firstSearch = false
-          }
-          if (opts.useCache) {
-            if (cached.forall(_.radius < finalRadius))
-              cache(key) = Bssr.CacheEntry(results, finalRadius)
-          }
+        }
+        metrics.search.settled = settled
+        metrics.search.relaxed = relaxed
+        metrics.search.weightSum = wsum
+        if (firstSearch) {
+          metrics.firstSearchWeightSum = wsum - w0
+          firstSearch = false
+        }
+        if (opts.useCache && (cached == null || cached.radius < found.radius))
+          cache(key) = found
       }
     }
 
@@ -294,8 +303,26 @@ final class Bssr(
 }
 
 object Bssr {
-  private final case class CacheEntry(
-      results: mutable.ArrayBuffer[(Int, Double, Double)], // (poi, dist, sim)
-      radius: Double,
-  )
+
+  /** One modified-Dijkstra run's matches in settle order, `count` of them in
+    * the primitive `pois`/`dists`/`sims` arrays, and the radius it covered
+    * (+∞ if the search ran out of vertices).
+    */
+  private final class CacheEntry {
+    var radius: Double       = Double.PositiveInfinity
+    var count: Int           = 0
+    var pois: Array[Int]     = new Array[Int](8)
+    var dists: Array[Double] = new Array[Double](8)
+    var sims: Array[Double]  = new Array[Double](8)
+
+    def add(poi: Int, dist: Double, sim: Double): Unit = {
+      if (count == pois.length) {
+        pois = java.util.Arrays.copyOf(pois, 2 * count)
+        dists = java.util.Arrays.copyOf(dists, 2 * count)
+        sims = java.util.Arrays.copyOf(sims, 2 * count)
+      }
+      pois(count) = poi; dists(count) = dist; sims(count) = sim
+      count += 1
+    }
+  }
 }

@@ -119,7 +119,15 @@ final case class SRoute(pois: Vector[Int], length: Double, simProduct: Double) {
   def isEmpty: Boolean = pois.isEmpty
   def end: Int        = pois.last
   def semScore: Double = 1.0 - simProduct
-  def contains(p: Int): Boolean = pois.contains(p)
+  /** `pois.contains(p)` without boxing `p`. */
+  def contains(p: Int): Boolean = {
+    var i = 0
+    while (i < pois.length) {
+      if (pois(i) == p) return true
+      i += 1
+    }
+    false
+  }
   def extend(p: Int, legDist: Double, sim: Double): SRoute =
     SRoute(pois :+ p, length + legDist, simProduct * sim)
 

@@ -38,7 +38,7 @@ object Dijkstra {
       maxDist: Double = Inf,
       metrics: SearchMetrics = null,
   ): Array[Double] = {
-    val dist = Array.fill(g.numVertices)(Inf)
+    val dist = filled(g.numVertices, Inf)
     val done = new Array[Boolean](g.numVertices)
     val pq   = new MinHeap
     dist(source) = 0.0
@@ -89,8 +89,8 @@ object Dijkstra {
   ): (Double, Double) = {
     if (sources.isEmpty) return (Inf, Inf)
     var ls = Inf
-    val origin1 = Array.fill(g.numVertices)(-1)
-    val origin2 = Array.fill(g.numVertices)(-1)
+    val origin1 = filled(g.numVertices, -1)
+    val origin2 = filled(g.numVertices, -1)
     val pq      = new MinHeap(math.max(64, sources.length))
     sources.foreach(s => pq.push(0.0, s, s))
     while (pq.nonEmpty) {
@@ -129,7 +129,7 @@ object Dijkstra {
     */
   def distBetween(g: RoadGraph, a: Int, b: Int): Double = {
     if (a == b) return 0.0
-    val dist = Array.fill(g.numVertices)(Inf)
+    val dist = filled(g.numVertices, Inf)
     val done = new Array[Boolean](g.numVertices)
     val pq   = new MinHeap
     dist(a) = 0.0
@@ -151,6 +151,14 @@ object Dijkstra {
       }
     }
     Inf
+  }
+
+  // `Array.fill(n)(x)` without its generic path, which boxes every element.
+  private def filled(n: Int, x: Double): Array[Double] = {
+    val a = new Array[Double](n); java.util.Arrays.fill(a, x); a
+  }
+  private def filled(n: Int, x: Int): Array[Int] = {
+    val a = new Array[Int](n); java.util.Arrays.fill(a, x); a
   }
 }
 

@@ -1,9 +1,11 @@
 package repro.graph
 
-/** Binary min-heap of `(key, vertex, origin)` entries in parallel primitive
-  * arrays: the priority queue of every Dijkstra loop in the repository
-  * (`Dijkstra`, `NearestNeighborSearch`, `Bssr.expand`). Pushing allocates
-  * nothing until the arrays double; `clear()` keeps them for the next search.
+/** Binary min-heap of `(key, vertex, origin)` entries in two parallel
+  * primitive arrays: the `Double` keys and one `Long` payload per entry,
+  * `origin << 32 | vertex`, so a sift step moves two slots. It is the
+  * priority queue of every Dijkstra loop in the repository (`Dijkstra`,
+  * `NearestNeighborSearch`, `Bssr.expand`). Pushing allocates nothing until
+  * the arrays double; `clear()` keeps them for the next search.
   *
   * Tie order: the layout (1-indexed) and both sift rules are those of
   * `scala.collection.mutable.PriorityQueue` (Scala 2.13) under a reversed
@@ -14,8 +16,7 @@ package repro.graph
   */
 final class MinHeap(initialCapacity: Int = 64) {
   private var keys     = new Array[Double](initialCapacity + 1)
-  private var vertices = new Array[Int](initialCapacity + 1)
-  private var origins  = new Array[Int](initialCapacity + 1)
+  private var payloads = new Array[Long](initialCapacity + 1)
   private var n        = 0 // entries live at 1..n
 
   def size: Int         = n
@@ -24,26 +25,27 @@ final class MinHeap(initialCapacity: Int = 64) {
 
   /** The minimum entry's fields; the heap must be non-empty. */
   def minKey: Double = keys(1)
-  def minVertex: Int = vertices(1)
-  def minOrigin: Int = origins(1)
+  def minVertex: Int = payloads(1).toInt
+  def minOrigin: Int = (payloads(1) >> 32).toInt
 
   def push(key: Double, vertex: Int, origin: Int): Unit = {
     n += 1
     if (n == keys.length) grow()
+    val payload = origin.toLong << 32 | (vertex & 0xFFFFFFFFL)
     // fixUp: move parents down while parent key > new key.
     var k = n
     while (k > 1 && keys(k >> 1) > key) {
       val p = k >> 1
-      keys(k) = keys(p); vertices(k) = vertices(p); origins(k) = origins(p)
+      keys(k) = keys(p); payloads(k) = payloads(p)
       k = p
     }
-    keys(k) = key; vertices(k) = vertex; origins(k) = origin
+    keys(k) = key; payloads(k) = payload
   }
 
   /** Removes the minimum entry (read it first through `min*`). */
   def pop(): Unit = {
     if (n == 0) throw new NoSuchElementException("pop on an empty heap")
-    val key = keys(n); val vertex = vertices(n); val origin = origins(n)
+    val key = keys(n); val payload = payloads(n)
     n -= 1
     // fixDown of the last entry from the root: take the right child iff
     // key(left) > key(right); stop once the moved key <= the child's key.
@@ -54,17 +56,16 @@ final class MinHeap(initialCapacity: Int = 64) {
       if (j < n && keys(j) > keys(j + 1)) j += 1
       if (key <= keys(j)) placed = true
       else {
-        keys(k) = keys(j); vertices(k) = vertices(j); origins(k) = origins(j)
+        keys(k) = keys(j); payloads(k) = payloads(j)
         k = j
       }
     }
-    keys(k) = key; vertices(k) = vertex; origins(k) = origin
+    keys(k) = key; payloads(k) = payload
   }
 
   private def grow(): Unit = {
     val cap = keys.length * 2
     keys = java.util.Arrays.copyOf(keys, cap)
-    vertices = java.util.Arrays.copyOf(vertices, cap)
-    origins = java.util.Arrays.copyOf(origins, cap)
+    payloads = java.util.Arrays.copyOf(payloads, cap)
   }
 }

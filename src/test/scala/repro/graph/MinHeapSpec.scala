@@ -56,6 +56,20 @@ class MinHeapSpec extends AnyFunSuite {
     assert(res.passed, Pretty.pretty(res, Pretty.Params(1)))
   }
 
+  test("vertex and origin ids 0 and Int.MaxValue - 1 round-trip, mixed in one heap") {
+    val ids = Seq(0, Int.MaxValue - 1)
+    val pairs = for (v <- ids; o <- ids) yield (v, o)
+    // Every pair twice, pushed in descending key order so each push sifts to
+    // the root and each pop sifts the last entry back down.
+    val entries: Seq[Entry] = (pairs ++ pairs).zipWithIndex.map { case ((v, o), i) => (i.toDouble, v, o) }
+    val h = new MinHeap(1)
+    entries.reverse.foreach { case (key, v, o) => h.push(key, v, o) }
+    val popped = Vector.fill(entries.size) {
+      val e = (h.minKey, h.minVertex, h.minOrigin); h.pop(); e
+    }
+    assert(popped == entries)
+  }
+
   test("pop on an empty heap throws") {
     val h = new MinHeap(1)
     h.push(1.0, 3, 4)
