@@ -33,6 +33,10 @@ search counters of the two sides can be compared. The summary prints
 whether the notes match and every traced per-layer metric whose value
 differs between the two sides (parent -> change).
 
+The output file also holds, under `lines`, each side's line count of the
+program sources under `src/main/scala` and `jobs` (newlines in their
+`.scala` files), and the summary prints them (parent -> change).
+
 Each `--claim WORKLOAD:METRIC` (repeatable) adds a gain verdict for that
 end-to-end metric, in the direction BENCHMARK.json gives it:
 
@@ -79,6 +83,13 @@ def child_env():
 
 TRACED_SEED = 1
 TRACED_NOTES = ("# answers.digest", "# counters")
+LINE_DIRS = ("src/main/scala", "jobs")
+
+
+def line_counts(side_root):
+    """Lines of the `.scala` files under each of LINE_DIRS, as `wc -l` counts."""
+    return {d: sum(f.read_bytes().count(b"\n") for f in (side_root / d).rglob("*.scala"))
+            for d in LINE_DIRS}
 
 
 def run_once(side_root, workload, seed, seconds, trace=0):
@@ -197,6 +208,7 @@ def main(argv):
     try:
         unpack(parent_sha, tmp)
         sides = {"parent": tmp, "change": ROOT}
+        result["lines"] = {side: line_counts(root) for side, root in sides.items()}
         for side, root in sides.items():  # build outside the measured runs
             subprocess.run([sys.executable, "skybench/build.py"], cwd=root,
                            env=child_env(), check=True, capture_output=True)
@@ -228,6 +240,8 @@ def main(argv):
         shutil.rmtree(tmp, ignore_errors=True)
     result["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     Path(a.out).write_text(json.dumps(result, indent=1) + "\n")
+    for d in LINE_DIRS:
+        print(f"lines {d}: {result['lines']['parent'][d]} -> {result['lines']['change'][d]}")
     for w, r in result["workloads"].items():
         for name, s in r["summary"].items():
             if isinstance(s, dict) and "verdict" in s:

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PositionSpec, Query, SRoute, Skyline}
+import repro.core.{PositionSpec, Query, SRoute, SkylineSet}
 import repro.graph.{Dijkstra, RoadGraph}
 import repro.semantics.CategoryForest
 
@@ -60,12 +60,12 @@ object Exhaustive {
   /** The exact SkySR answer: minimal skyline of all sequenced routes. */
   def skySR(g: RoadGraph, forest: CategoryForest, query: Query,
             dists: Array[Array[Double]] = null): Vector[SRoute] =
-    Skyline.of(allRoutes(g, forest, query, dists))
+    SkylineSet.of(allRoutes(g, forest, query, dists))
 
   def skySRSpecs(g: RoadGraph, forest: CategoryForest, start: Int,
                  specs: Vector[PositionSpec], destination: Option[Int] = None,
                  dists: Array[Array[Double]] = null): Vector[SRoute] =
-    Skyline.of(allRoutesSpecs(g, forest, start, specs, destination, dists))
+    SkylineSet.of(allRoutesSpecs(g, forest, start, specs, destination, dists))
 
   /** Ground truth for the §6 unordered (skyline trip planning) variation:
     * every bijective assignment of the category set to visit positions.
@@ -74,7 +74,7 @@ object Exhaustive {
                      categories: Vector[Int],
                      dists: Array[Array[Double]] = null): Vector[SRoute] = {
     val d = if (dists != null) dists else allPairs(g)
-    Skyline.of(categories.permutations.toVector.flatMap(p =>
+    SkylineSet.of(categories.permutations.toVector.flatMap(p =>
       allRoutes(g, forest, Query(start, p), d)))
   }
 }

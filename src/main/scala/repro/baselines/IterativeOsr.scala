@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PositionSpec, Query, QuerySetup, SRoute, Skyline}
+import repro.core.{PositionSpec, Query, QuerySetup, SRoute, SkylineSet}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -70,7 +70,7 @@ object IterativeOsr {
       } else levels(pos).foreach(h => rec(pos + 1, h :: mins))
     }
     rec(0, Nil)
-    val out = Skyline.of(candidates.toSeq)
+    val out = SkylineSet.of(candidates)
     metrics.totalTimeNanos = System.nanoTime() - t0
     out
   }

@@ -55,7 +55,7 @@ final case class BssrResult(skyline: Vector[SRoute], metrics: BssrMetrics)
   * the test suite.
   *
   * One instance per graph and thread: the modified Dijkstra's scratch state
-  * (the stamped `dist`/`simPath`/settled arrays and its `MinHeap`) belongs to
+  * (the stamped `dist`/`simPath` arrays and its `MinHeap`) belongs to
   * the instance and is reused across queries, so `run` calls on one instance
   * must not overlap.
   */
@@ -71,7 +71,6 @@ final class Bssr(
   private val dist     = new Array[Double](g.numVertices)
   private val simPath  = new Array[Double](g.numVertices)
   private val stampArr = new Array[Int](g.numVertices)
-  private val settledArr = new Array[Int](g.numVertices)
   private var stamp    = 0
   private val pq       = new MinHeap(1024)
 
@@ -188,7 +187,6 @@ final class Bssr(
 
     // ---- Optimization 4: on-the-fly cache (§5.3.4) -----------------------
     val cache = mutable.LongMap.empty[Bssr.CacheEntry]
-    var firstSearch = true
 
     /** Modified Dijkstra (Algorithm 2): find PoIs semantically matching the
       * next category from the end of `parent`, honoring Lemma 5.5 (skip PoIs
@@ -224,10 +222,9 @@ final class Bssr(
         var rad = needed
         // Counted in locals and written back when the run ends; nothing the
         // run calls reads them, and the additions keep their order.
-        val w0      = metrics.search.weightSum
         var settled = metrics.search.settled
         var relaxed = metrics.search.relaxed
-        var wsum    = w0
+        var wsum    = metrics.search.weightSum
         val adjIndex  = g.adjIndex
         val adjVertex = g.adjVertex
         val adjWeight = g.adjWeight
@@ -243,13 +240,12 @@ final class Bssr(
           val d = pq.minKey
           val u = pq.minVertex
           pq.pop()
-          if (settledArr(u) != st) {
+          if (d == dist(u)) { // every entry is this run's: `stampArr(u) == st`
             // On break, everything strictly below the breaking entry's
             // distance has been settled, so `d` (≥ rad) is the sound —
             // and larger — radius to record for the cache.
             if (d >= rad) { break = true; found.radius = d }
             else {
-              settledArr(u) = st
               settled += 1
               val sim = g.poiSim(sims, u)
               if (sim > 0.0 && u != src && (!lemma55 || sim > simPath(u))) {
@@ -279,17 +275,16 @@ final class Bssr(
         metrics.search.settled = settled
         metrics.search.relaxed = relaxed
         metrics.search.weightSum = wsum
-        if (firstSearch) {
-          metrics.firstSearchWeightSum = wsum - w0
-          firstSearch = false
-        }
         if (opts.useCache && (cached == null || cached.radius < found.radius))
           cache(key) = found
       }
     }
 
     // ---- main loop (Algorithm 1) -----------------------------------------
+    // The cache starts empty, so the first expansion always searches.
+    val w0 = metrics.search.weightSum
     expand(SRoute.empty)
+    metrics.firstSearchWeightSum = metrics.search.weightSum - w0
     while (qb.nonEmpty && !metrics.aborted) {
       val r = qb.dequeue()
       metrics.routesDequeued += 1

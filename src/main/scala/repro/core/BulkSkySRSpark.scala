@@ -96,7 +96,7 @@ object BulkSkySRSpark {
     poiGraph.unpersist()
 
     // Phase 4: final minimal skyline over pipeline results + NNinit seeds.
-    Skyline.of(complete ++ seeds)
+    SkylineSet.of(complete ++ seeds)
   }
 
   /** Per-end-PoI skyline prune: among routes of the same level ending at the

@@ -27,43 +27,36 @@ object NNInit {
       sky: SkylineSet,
       metrics: SearchMetrics,
   ): Vector[SRoute] = {
+    val m     = if (metrics != null) metrics else new SearchMetrics // null: uncounted
     val k     = simPos.length
     val found = Vector.newBuilder[SRoute]
     var route = SRoute.empty
     var cur   = start
 
+    // Each leg settles through its semantic matches up to its first perfect
+    // one: a non-last leg keeps that match, the last leg emits every match.
     var i = 0
     var stuck = false
     while (i < k && !stuck) {
+      val sims   = simPos(i)
       val isLast = i == k - 1
-      if (!isLast) {
-        val nns = new NearestNeighborSearch(
-          g, cur, v => g.poiSim(simPos(i), v) == 1.0 && !route.contains(v), metrics)
-        nns.get(0) match {
+      val nns = new NearestNeighborSearch(
+        g, cur, v => g.poiSim(sims, v) > 0.0 && !route.contains(v), m)
+      var rank = 0
+      var perfect = false
+      while (!perfect && !stuck) {
+        nns.get(rank) match {
           case Some((p, d)) =>
-            route = route.extend(p, d, 1.0)
-            cur = p
+            val s = g.poiSim(sims, p)
+            perfect = s == 1.0
+            if (isLast) route.extend(p, d, s).toDestination(distToDest).foreach { r =>
+              found += r
+              sky.update(r)
+            }
+            else if (perfect) { route = route.extend(p, d, s); cur = p }
           case None => stuck = true // no perfect match reachable; partial init
         }
-      } else {
-        // Final leg: collect semantic matches until the first perfect match.
-        val nns = new NearestNeighborSearch(
-          g, cur, v => g.poiSim(simPos(i), v) > 0.0 && !route.contains(v), metrics)
-        var rank = 0
-        var done = false
-        while (!done) {
-          nns.get(rank) match {
-            case Some((p, d)) =>
-              val s = g.poiSim(simPos(i), p)
-              route.extend(p, d, s).toDestination(distToDest).foreach { r =>
-                found += r
-                sky.update(r)
-              }
-              if (s == 1.0) done = true
-            case None => done = true
-          }
-          rank += 1
-        }
+        rank += 1
       }
       i += 1
     }

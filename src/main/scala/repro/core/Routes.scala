@@ -91,7 +91,7 @@ object QuerySetup {
     */
   def apply(g: RoadGraph, forest: CategoryForest, start: Int,
             specs: Vector[PositionSpec], destination: Option[Int],
-            metrics: SearchMetrics = null): QuerySetup = {
+            metrics: SearchMetrics = new SearchMetrics): QuerySetup = {
     validate(g, forest, start, specs, destination)
     val simPos = specs.toArray.map(PositionSpec.simTable(forest, _))
     val present = g.poisByCategory.keys
@@ -162,20 +162,6 @@ object Skyline {
   /** Strict dominance: no worse in both, strictly better in at least one. */
   def dominates(aL: Double, aS: Double, bL: Double, bS: Double): Boolean =
     dominatesOrEquiv(aL, aS, bL, bS) && (aL < bL || aS < bS)
-
-  /** Minimal skyline of a route set: drops dominated routes and keeps one
-    * representative per equivalent (l, s) point, sorted by length ascending.
-    */
-  def of(routes: Seq[SRoute]): Vector[SRoute] = {
-    // Among equal lengths only the first (smallest sem) can survive: the
-    // rest have sem ≥ its sem ≥ bestSem.
-    val out     = mutable.ArrayBuffer.empty[SRoute]
-    var bestSem = Double.PositiveInfinity
-    routes.sortBy(r => (r.length, r.semScore)).foreach { r =>
-      if (r.semScore < bestSem) { out += r; bestSem = r.semScore }
-    }
-    out.toVector
-  }
 }
 
 /** The evolving minimal set `S` of sequenced routes (Def. 4.2), kept sorted
@@ -216,5 +202,18 @@ final class SkylineSet {
       i += 1
     }
     Double.PositiveInfinity
+  }
+}
+
+object SkylineSet {
+
+  /** Minimal skyline of a route set, folded through `update`: drops dominated
+    * routes, keeps the first route in input order per equivalent (l, s)
+    * point, sorted by length ascending.
+    */
+  def of(routes: Iterable[SRoute]): Vector[SRoute] = {
+    val sky = new SkylineSet
+    routes.foreach(sky.update)
+    sky.all
   }
 }

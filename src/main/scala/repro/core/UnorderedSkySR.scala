@@ -23,6 +23,6 @@ object UnorderedSkySR {
     val all = categories.permutations.toVector.flatMap { order =>
       bssr.run(Query(start, order)).skyline
     }
-    Skyline.of(all)
+    SkylineSet.of(all)
   }
 }

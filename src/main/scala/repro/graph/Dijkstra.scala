@@ -19,9 +19,13 @@ final class SearchMetrics {
   * paper's Algorithm 2 lives in `repro.core.Bssr` (it needs route state); the
   * plain searches here back NNinit, the lower-bound estimation (Lemma 5.9)
   * and the Spark PoI-graph builder. All of them queue vertices in a fresh
-  * [[MinHeap]] (lazy deletion: a vertex may be queued more than once and is
-  * settled at its first pop), so equal-distance ties resolve exactly as in
-  * `mutable.PriorityQueue`; each call still allocates its O(|V|) label arrays.
+  * [[MinHeap]], so equal-distance ties resolve exactly as in
+  * `mutable.PriorityQueue`. Lazy deletion without decrease-key: a vertex may
+  * be queued more than once, but in `fromSource`, [[NearestNeighborSearch]]
+  * and `Bssr.expand` every push strictly lowers its label, so exactly one
+  * queued entry carries the final label and a pop `(d, u)` settles `u` iff
+  * `d == dist(u)`, with no settled mark. The array-backed searches allocate
+  * their O(|V|) labels per call.
   */
 object Dijkstra {
 
@@ -36,10 +40,9 @@ object Dijkstra {
       g: RoadGraph,
       source: Int,
       maxDist: Double = Inf,
-      metrics: SearchMetrics = null,
+      metrics: SearchMetrics = new SearchMetrics,
   ): Array[Double] = {
     val dist = filled(g.numVertices, Inf)
-    val done = new Array[Boolean](g.numVertices)
     val pq   = new MinHeap
     dist(source) = 0.0
     pq.push(0.0, source, source)
@@ -47,16 +50,15 @@ object Dijkstra {
       val d = pq.minKey
       val u = pq.minVertex
       pq.pop()
-      if (!done(u)) {
+      if (d == dist(u)) {
         if (d > maxDist) pq.clear()
         else {
-          done(u) = true
-          if (metrics != null) metrics.settled += 1
+          metrics.settled += 1
           var i = g.adjIndex(u)
           while (i < g.adjIndex(u + 1)) {
             val v = g.adjVertex(i)
             val w = g.adjWeight(i)
-            if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
+            metrics.relaxed += 1; metrics.weightSum += w
             val nd = d + w
             if (nd < dist(v)) { dist(v) = nd; pq.push(nd, v, source) }
             i += 1
@@ -85,7 +87,7 @@ object Dijkstra {
       sources: Array[Int],
       sim: Int => Double,
       bound: Double = Inf,
-      metrics: SearchMetrics = null,
+      metrics: SearchMetrics = new SearchMetrics,
   ): (Double, Double) = {
     if (sources.isEmpty) return (Inf, Inf)
     var ls = Inf
@@ -103,7 +105,7 @@ object Dijkstra {
         (origin2(u) < 0 && origin1(u) != origin)
       if (fresh) {
         if (origin1(u) < 0) origin1(u) = origin else origin2(u) = origin
-        if (metrics != null) metrics.settled += 1
+        metrics.settled += 1
         if (origin != u) {
           val s = sim(u)
           if (s > 0.0 && ls == Inf) ls = d
@@ -113,7 +115,7 @@ object Dijkstra {
         while (i < g.adjIndex(u + 1)) {
           val v = g.adjVertex(i)
           val w = g.adjWeight(i)
-          if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
+          metrics.relaxed += 1; metrics.weightSum += w
           if (origin2(v) < 0) pq.push(d + w, v, origin)
           i += 1
         }
@@ -171,13 +173,12 @@ final class NearestNeighborSearch(
     g: RoadGraph,
     val source: Int,
     matches: Int => Boolean,
-    metrics: SearchMetrics = null,
+    metrics: SearchMetrics = new SearchMetrics,
 ) {
   // Sparse state: an incremental NN search usually touches a small ball
   // around its source, so O(touched) maps beat O(|V|) arrays — and make the
   // PNE memory model of Table 6 reflect what the search actually retains.
   private val dist = mutable.HashMap.empty[Int, Double]
-  private val done = mutable.HashSet.empty[Int]
   private val pq   = new MinHeap(8) // PNE keeps many searches alive
   private val found = mutable.ArrayBuffer.empty[(Int, Double)]
   private var exhausted = false
@@ -186,7 +187,7 @@ final class NearestNeighborSearch(
   pq.push(0.0, source, source)
 
   /** Rough retained bytes of this search's live state (Table 6 model). */
-  def stateBytes: Long = 48L * dist.size + 32L * done.size + 24L * found.size
+  def stateBytes: Long = 48L * dist.size + 24L * found.size
 
   /** The `rank`-th (0-based) nearest matching vertex, extending the
     * underlying Dijkstra as far as needed; None once the component is
@@ -203,15 +204,14 @@ final class NearestNeighborSearch(
       val d = pq.minKey
       val u = pq.minVertex
       pq.pop()
-      if (!done.contains(u)) {
-        done += u
-        if (metrics != null) metrics.settled += 1
+      if (d == dist(u)) {
+        metrics.settled += 1
         if (matches(u)) { found += ((u, d)); produced = true }
         var i = g.adjIndex(u)
         while (i < g.adjIndex(u + 1)) {
           val v  = g.adjVertex(i)
           val w  = g.adjWeight(i)
-          if (metrics != null) { metrics.relaxed += 1; metrics.weightSum += w }
+          metrics.relaxed += 1; metrics.weightSum += w
           val nd = d + w
           if (nd < dist.getOrElse(v, Dijkstra.Inf)) {
             dist(v) = nd; pq.push(nd, v, source)

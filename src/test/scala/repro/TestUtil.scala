@@ -4,6 +4,16 @@ import repro.core.SRoute
 
 object TestUtil {
 
+  /** `Datasets.tiny(seed, nRoad, nPois)` with every weight mapped to an
+    * integer in 0..2 (both arcs of an edge alike): zero-weight arcs and many
+    * equal-length paths, so searches meet ties in distance at every step.
+    */
+  def tieGraph(seed: Long, nRoad: Int = 120, nPois: Int = 60): repro.graph.RoadGraph = {
+    val g = repro.data.Datasets.tiny(seed, nRoad, nPois)
+    new repro.graph.RoadGraph(g.numVertices, g.adjIndex, g.adjVertex,
+      g.adjWeight.map(w => ((w * 1e6).toLong % 3).toDouble), g.poiCategory)
+  }
+
   /** Two skylines agree iff they have the same (length, semScore) points in
     * order (within tolerance). PoI sequences may differ only when two routes
     * are exactly equivalent (the minimal set keeps an arbitrary

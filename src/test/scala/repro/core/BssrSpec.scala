@@ -52,6 +52,20 @@ class BssrSpec extends AnyFunSuite {
     }
   }
 
+  // Integer weights with zero-weight arcs (`TestUtil.tieGraph`): distances,
+  // leg lengths and route lengths tie throughout, in every search BSSR runs.
+  for (seed <- 1L to 2L; len <- 2 to 3; (name, o) <- combos) {
+    test(s"BSSR[$name] == exhaustive on integer weights with ties (seed=$seed, |Sq|=$len)") {
+      val g = TestUtil.tieGraph(seed)
+      val q = Workload.queries(g, forest, 1, len, seed * 31 + len, minPois = 1).head
+      val res = new Bssr(g, forest, o).run(q)
+      assert(!res.metrics.aborted)
+      TestUtil.assertSameSkyline(s"$name ties seed=$seed len=$len q=$q", res.skyline,
+        Exhaustive.skySR(g, forest, q))
+      TestUtil.assertRouteScores(g, forest, q, res.skyline)
+    }
+  }
+
   for (seed <- 13L to 16L) {
     test(s"BSSR handles repeated/same-tree categories (distinct-PoI constraint binding, seed=$seed)") {
       val (g, d) = graphFor(seed)

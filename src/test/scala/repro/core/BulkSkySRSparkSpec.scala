@@ -128,6 +128,21 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }
   }
 
+  // Bench scale, compared bit for bit. Points are the contract, not PoI
+  // lists: on `Query(v=547, S=<63,42,33,60>)` both keep the point
+  // (0x1.3152a05bf0a51p-3, 0.75) but through different routes, since BSSR
+  // keeps the first route it completes there and the pipeline's per-end
+  // window the smallest PoI list.
+  test("Spark pipeline == BSSR, points bit-equal, on seeded TokyoLite |Sq|=4 queries") {
+    val g    = Datasets.tokyoLite
+    val qs   = Workload.queries(g, forest, 8, 4, 1004L)
+    val bssr = new Bssr(g, forest)
+    def points(rs: Seq[SRoute]) = rs.map(r => (r.length, r.semScore))
+    assert(qs.contains(Query(547, Vector(63, 42, 33, 60))))
+    qs.foreach(q =>
+      assert(points(BulkSkySRSpark.run(spark, g, forest, q)) == points(bssr.run(q).skyline), q.toString))
+  }
+
   /** The executed plans of the queries `body` runs. Listener events arrive
     * asynchronously but in order, so one marker query before and one after
     * `body` bracket its plans.

@@ -25,14 +25,18 @@ class SkylineSpec extends AnyFunSuite {
     assert(Skyline.dominatesOrEquiv(1, 1, 1, 1))
   }
 
+  // The test names predate the fold: `SkylineSet.of` replaced the
+  // sort-then-scan `Skyline.of` with the same contract.
   for (seed <- 1L to 20L) {
     test(s"Skyline.of matches the O(n²) definition, one route per point (seed $seed)") {
       val rnd = new Random(seed)
       val rs  = randRoutes(rnd, 60)
-      val sky = Skyline.of(rs)
+      val sky = SkylineSet.of(rs)
       // exactly the non-dominated score points, each exactly once
       assert(sky.map(r => (r.length, r.semScore)).toSet == naiveSkyline(rs))
       assert(sky.map(r => (r.length, r.semScore)).distinct.size == sky.size)
+      // each point's route is the first in input order with that point
+      sky.foreach(r => assert(rs.find(q => q.length == r.length && q.semScore == r.semScore).get eq r))
       // sorted by length, semantic strictly decreasing
       assert(sky.map(_.length) == sky.map(_.length).sorted)
       assert(sky.map(_.semScore) == sky.map(_.semScore).sorted.reverse)
@@ -40,9 +44,9 @@ class SkylineSpec extends AnyFunSuite {
   }
 
   test("Skyline.of of empty and singleton") {
-    assert(Skyline.of(Nil).isEmpty)
+    assert(SkylineSet.of(Nil).isEmpty)
     val r = SRoute(Vector(1), 2.0, 0.5)
-    assert(Skyline.of(Seq(r)) == Vector(r))
+    assert(SkylineSet.of(Seq(r)) == Vector(r))
   }
 
   for (seed <- 1L to 20L) {

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import repro.data.Datasets
 
 import scala.util.Random
@@ -23,9 +24,12 @@ class DijkstraSpec extends AnyFunSuite {
 
   private def smallGraph(seed: Long): RoadGraph = Datasets.tiny(seed, nRoad = 40, nPois = 20)
 
-  for (seed <- 1L to 8L) {
-    test(s"fromSource matches Floyd–Warshall (seed $seed)") {
-      val g  = smallGraph(seed)
+  // Integer weights in 0..2: zero-weight arcs and equal-length paths, where
+  // a pop settles its vertex iff it carries the vertex's label.
+  private val tieGraph = TestUtil.tieGraph(1, nRoad = 40, nPois = 20)
+
+  for ((name, g) <- (1L to 8L).map(seed => s"seed $seed" -> smallGraph(seed)) :+ ("ties" -> tieGraph)) {
+    test(s"fromSource matches Floyd–Warshall ($name)") {
       val fw = floyd(g)
       for (s <- 0 until g.numVertices by 7) {
         val d = Dijkstra.fromSource(g, s)
@@ -102,13 +106,15 @@ class DijkstraSpec extends AnyFunSuite {
     }
   }
 
-  for (seed <- 1L to 6L) {
-    test(s"NearestNeighborSearch yields matches in nondecreasing distance order (seed $seed)") {
-      val g   = smallGraph(seed)
+  for ((name, g, src) <- (1L to 6L).map(seed => (s"seed $seed", smallGraph(seed), seed.toInt)) :+
+      (("ties", tieGraph, 0))) {
+    test(s"NearestNeighborSearch yields matches in nondecreasing distance order ($name)") {
       val fw  = floyd(g)
-      val src = seed.toInt % g.numVertices
-      val nns = new NearestNeighborSearch(g, src, g.isPoi)
+      val m   = new SearchMetrics
+      val nns = new NearestNeighborSearch(g, src, g.isPoi, m)
       val got = Iterator.from(0).map(nns.get).takeWhile(_.isDefined).map(_.get).toVector
+      // run to exhaustion, the search settled each reachable vertex once
+      assert(m.settled == fw(src).count(_.isFinite).toLong)
       // distances are correct and sorted
       got.foreach { case (v, d) => assert(math.abs(d - fw(src)(v)) < 1e-9) }
       assert(got.map(_._2) == got.map(_._2).sorted)
@@ -128,12 +134,13 @@ class DijkstraSpec extends AnyFunSuite {
     assert(nns.get(0).get._2 <= nns.get(4).get._2)
   }
 
-  test("metrics count settled vertices and relaxed edge weight") {
-    val g = smallGraph(1)
-    val m = new SearchMetrics
-    Dijkstra.fromSource(g, 0, metrics = m)
-    assert(m.settled == g.numVertices.toLong) // connected graph: all settled
-    assert(m.relaxed == g.numDirectedEdges.toLong)
-    assert(math.abs(m.weightSum - 2 * g.totalWeight) < 1e-9)
+  for ((suffix, g) <- Seq("" -> smallGraph(1), " (ties)" -> tieGraph)) {
+    test(s"metrics count settled vertices and relaxed edge weight$suffix") {
+      val m = new SearchMetrics
+      Dijkstra.fromSource(g, 0, metrics = m)
+      assert(m.settled == g.numVertices.toLong) // connected graph: each settled once
+      assert(m.relaxed == g.numDirectedEdges.toLong)
+      assert(math.abs(m.weightSum - 2 * g.totalWeight) < 1e-9)
+    }
   }
 }
