@@ -1,12 +1,12 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench.{BenchUtil, Tables}
+import repro.bench.Tables
 import repro.data.{Datasets, Workload}
 import repro.spark.DistributedQueryRunner
 
-/** One `spark-submit` entrypoint per evaluation table (DESIGN.md §7).
-  * Example: `spark-submit --class repro.jobs.Table7Job repro.jar`.
+/** The `spark-submit` entrypoints (DESIGN.md §7).
+  * Example: `spark-submit --class repro.jobs.TablesJob repro.jar 6 7`.
   */
 private object JobSession {
   def local(name: String): SparkSession = {
@@ -20,52 +20,31 @@ private object JobSession {
   }
 }
 
-/** Table 1: NYC example SkySRs via the distributed pipeline. */
-object Table1Job {
+/** Prints the evaluation tables its arguments name (`1 4 5 6 7 8 9 rt`, in
+  * the order given), or every table when given none. Spark starts only for
+  * Tables 1 and 9, the distributed-pipeline use cases; `rt` is the Fig. 3 /
+  * Fig. 6 response-time table.
+  */
+object TablesJob {
+  private val printers: Seq[(String, (=> SparkSession) => String)] = Seq(
+    "1"  -> (spark => Tables.table1(spark)._1),
+    "4"  -> (_ => Tables.table4()._1),
+    "5"  -> (_ => Tables.table5()._1),
+    "6"  -> (_ => Tables.table6()._1),
+    "7"  -> (_ => Tables.table7()._1),
+    "8"  -> (_ => Tables.table8()._1),
+    "9"  -> (spark => Tables.table9(spark)._1),
+    "rt" -> (_ => Tables.responseTime()._1))
+
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("skysr-table1")
-    println(Tables.table1(spark)._1)
-    spark.stop()
+    val known = printers.toMap
+    args.find(!known.contains(_)).foreach(n => throw new IllegalArgumentException(
+      s"unknown table '$n' (known: ${printers.map(_._1).mkString(" ")})"))
+    var spark: SparkSession = null
+    def session = { if (spark == null) spark = JobSession.local("skysr-tables"); spark }
+    try (if (args.isEmpty) printers.map(_._1) else args.toSeq).foreach(n => println(known(n)(session)))
+    finally if (spark != null) spark.stop()
   }
-}
-
-/** Table 4: the worked example's final state. */
-object Table4Job {
-  def main(args: Array[String]): Unit = println(Tables.table4()._1)
-}
-
-/** Table 5: dataset summary. */
-object Table5Job {
-  def main(args: Array[String]): Unit = println(Tables.table5()._1)
-}
-
-/** Table 6: memory model at |Sq| = 4. */
-object Table6Job {
-  def main(args: Array[String]): Unit = println(Tables.table6()._1)
-}
-
-/** Table 7: effect of the initial search. */
-object Table7Job {
-  def main(args: Array[String]): Unit = println(Tables.table7()._1)
-}
-
-/** Table 8: priority-queue policies. */
-object Table8Job {
-  def main(args: Array[String]): Unit = println(Tables.table8()._1)
-}
-
-/** Table 9: Tokyo use case via the distributed pipeline. */
-object Table9Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local("skysr-table9")
-    println(Tables.table9(spark)._1)
-    spark.stop()
-  }
-}
-
-/** Fig. 3 / Fig. 6 shapes: response times and SkySR counts. */
-object ResponseTimeJob {
-  def main(args: Array[String]): Unit = println(Tables.responseTime()._1)
 }
 
 /** Batch SkySR serving: a whole workload answered as one Spark job
@@ -82,7 +61,7 @@ object BatchQueriesJob {
     val qs = Workload.queries(g, forest, n, len, seed = 11L, minPois = 10)
     val df   = DistributedQueryRunner.run(spark, g, forest, qs)
     val rows = df.collect()
-    println(BenchUtil.table(s"first 50 skyline routes of $dataset", df.columns.toSeq,
+    println(Tables.table(s"first 50 skyline routes of $dataset", df.columns.toSeq,
       rows.take(50).map(_.toSeq.map(_.toString)).toSeq))
     println(s"answered ${qs.size} queries; ${rows.length} skyline routes total")
     spark.stop()

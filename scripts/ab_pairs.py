@@ -26,12 +26,16 @@ every end-to-end metric of BENCHMARK.json, a verdict against its bound:
     the bound;
   - "within bound": otherwise.
 
-Each workload also gets one traced pair, both sides on seed 1 with
-`--trace 1` (parent first), kept under `traced`: the per-layer metrics of
-each side plus its `answers.digest` and `counters` notes, so the digests and
-search counters of the two sides can be compared. The summary prints
-whether the notes match and every traced per-layer metric whose value
-differs between the two sides (parent -> change).
+Each workload also gets two traced pairs, both sides on seed 1 with
+`--trace 1`: one parent first, kept under `traced`, and one change first,
+kept under `traced_swapped`. Each holds the per-layer metrics of each side
+plus its `answers.digest` and `counters` notes, so the digests and search
+counters of the two sides can be compared. The summary prints whether the
+notes of all four traced runs match, and every traced per-layer metric
+whose value differs between the sides in either pair, with both pairs'
+values (parent -> change) and whether the two pairs moved it the `same
+direction` or are `mixed`: a shift that one pair shows and the swapped pair
+does not is run-to-run spread, not the change.
 
 The output file also holds, under `lines`, each side's line count of the
 program sources under `src/main/scala` and `jobs` (newlines in their
@@ -82,6 +86,8 @@ def child_env():
 
 
 TRACED_SEED = 1
+# The traced pairs of each workload: output key -> the order its sides run in.
+TRACED_PAIRS = {"traced": ("parent", "change"), "traced_swapped": ("change", "parent")}
 TRACED_NOTES = ("# answers.digest", "# counters")
 LINE_DIRS = ("src/main/scala", "jobs")
 
@@ -117,6 +123,17 @@ def quartiles(xs):
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def direction(moves):
+    """`same direction` if every (old, new) pair moved its metric the same
+    way (up, down or not at all), else `mixed`."""
+    def sign(old, new):
+        if not all(isinstance(x, (int, float)) for x in (old, new)):
+            return None
+        return (new > old) - (new < old)
+    signs = {sign(old, new) for old, new in moves}
+    return "same direction" if len(signs) == 1 and None not in signs else "mixed"
 
 
 def summarize(pairs, end_to_end):
@@ -225,13 +242,15 @@ def main(argv):
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             summary = summarize(pairs, bench["end_to_end"])
-            traced = {"seed": TRACED_SEED}
-            for side in ("parent", "change"):
-                traced[side] = run_once(sides[side], w, TRACED_SEED, seconds, trace=1)
-                print(f"ab_pairs: {w} traced {side}: "
-                      f"{json.dumps(traced[side].get('notes', traced[side]))}",
-                      file=sys.stderr, flush=True)
-            result["workloads"][w] = {"pairs": pairs, "summary": summary, "traced": traced}
+            result["workloads"][w] = {"pairs": pairs, "summary": summary}
+            for key, order in TRACED_PAIRS.items():
+                traced = {"seed": TRACED_SEED, "order": list(order)}
+                for side in order:
+                    traced[side] = run_once(sides[side], w, TRACED_SEED, seconds, trace=1)
+                    print(f"ab_pairs: {w} {key} {side}: "
+                          f"{json.dumps(traced[side].get('notes', traced[side]))}",
+                          file=sys.stderr, flush=True)
+                result["workloads"][w][key] = traced
             for cw, m in claims:
                 if cw == w:
                     result["workloads"][w].setdefault("claims", {})[m] = \
@@ -247,15 +266,21 @@ def main(argv):
             if isinstance(s, dict) and "verdict" in s:
                 print(f"{w} {name}: {s.get('parent_median')} -> {s.get('change_median')} "
                       f"({s['verdict']})")
-        notes = {side: r["traced"][side].get("notes") for side in ("parent", "change")}
-        print(f"{w} traced seed {TRACED_SEED}: digest and counter notes "
-              f"{'match' if notes['parent'] == notes['change'] else 'differ'}")
-        layers = {side: {k: v.get("value") for k, v in r["traced"][side].get("metrics", {}).items()}
-                  for side in ("parent", "change")}
-        for name in sorted(layers["parent"].keys() | layers["change"].keys()):
-            old, new = layers["parent"].get(name), layers["change"].get(name)
-            if old != new:
-                print(f"{w} traced {name}: {old} -> {new}")
+        runs = [r[key][side] for key in TRACED_PAIRS for side in ("parent", "change")]
+        notes = [run.get("notes") for run in runs]
+        print(f"{w} traced seed {TRACED_SEED}: digest and counter notes of all "
+              f"{len(runs)} runs {'match' if all(n == notes[0] for n in notes) else 'differ'}")
+        layers = {key: {side: {k: v.get("value") for k, v in r[key][side].get("metrics", {}).items()}
+                        for side in ("parent", "change")}
+                  for key in TRACED_PAIRS}
+        names = set().union(*(ls.keys() for pair in layers.values() for ls in pair.values()))
+        for name in sorted(names):
+            moves = [(layers[key]["parent"].get(name), layers[key]["change"].get(name))
+                     for key in TRACED_PAIRS]
+            if any(old != new for old, new in moves):
+                print(f"{w} traced {name}: "
+                      + "; ".join(f"{old} -> {new}" for old, new in moves)
+                      + f" ({direction(moves)})")
         for name, c in r.get("claims", {}).items():
             print(f"{w} {name} claim: better in {c['wins']}/{c['pairs']} pairs, "
                   f"median gain {c.get('median_gain')} vs parent IQR "

@@ -13,7 +13,8 @@ import scala.collection.mutable
   * We enumerate per-position *similarity levels* instead of the paper's
   * super-category sequences — the distinct `sim` values realizable in each
   * queried category's tree — and solve a threshold-OSR (`match := sim ≥ h`)
-  * per combination. This keeps the result exact for any forest (see
+  * per combination, on each position's `simTable` with the entries below
+  * its level `h` zeroed. This keeps the result exact for any forest (see
   * DESIGN.md §6) while preserving the baseline's exponential cost shape:
   * the combination count is Π|levels_i|, and levels correspond 1:1 to
   * ancestor depths in balanced trees.
@@ -57,14 +58,14 @@ object IterativeOsr {
     def rec(pos: Int, mins: List[Double]): Unit = {
       if (metrics.aborted) return
       if (pos == k) {
-        val matchers = mins.reverse.zipWithIndex.map { case (m, i) =>
-          PositionMatcher(m, simTables(i))
+        val tables = mins.reverse.zipWithIndex.map { case (h, i) =>
+          simTables(i).map(s => if (s >= h) s else 0.0)
         }.toArray
         metrics.osrRuns += 1
         try {
           val r =
-            if (useDij) OsrDijkstra.osr(g, query.start, matchers, metrics, maxSettled)
-            else OsrPne.osr(g, query.start, matchers, metrics, maxSettled)
+            if (useDij) OsrDijkstra.osr(g, query.start, tables, metrics, maxSettled)
+            else OsrPne.osr(g, query.start, tables, metrics, maxSettled)
           r.foreach(candidates += _)
         } catch { case _: BudgetExceeded => metrics.aborted = true }
       } else levels(pos).foreach(h => rec(pos + 1, h :: mins))

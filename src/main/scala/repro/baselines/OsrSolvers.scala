@@ -5,20 +5,6 @@ import repro.graph.{NearestNeighborSearch, RoadGraph, SearchMetrics}
 
 import scala.collection.mutable
 
-/** Match rule for one sequence position of a (relaxed) OSR query: vertex `v`
-  * matches iff `g.poiSim(sims, v)` is positive and `>= minSim` (a road
-  * vertex's similarity is 0). With `minSim = 1` this is
-  * the classic perfect-match OSR of Sharifzadeh et al.; smaller thresholds
-  * give the similarity-level relaxations our naive SkySR baseline iterates
-  * over (DESIGN.md §6).
-  */
-final case class PositionMatcher(minSim: Double, sims: Array[Double]) {
-  def matches(g: RoadGraph, v: Int): Boolean = {
-    val s = g.poiSim(sims, v)
-    s >= minSim && s > 0.0
-  }
-}
-
 /** Shared instrumentation for the baseline algorithms. */
 final class BaselineMetrics {
   val search = new SearchMetrics
@@ -38,17 +24,24 @@ final class BudgetExceeded extends RuntimeException
   * product graph (road network × sequence progress). Queue entries carry
   * their partial route — which is exactly why the paper's Table 6 shows Dij
   * needing an order of magnitude more memory than PNE/BSSR.
+  *
+  * Both OSR solvers take one per-category similarity table per sequence
+  * position, and vertex `v` matches position `i` iff
+  * `g.poiSim(tables(i), v) > 0.0` — the rule of BSSR and NNinit. With every
+  * entry below 1.0 zeroed this is the classic perfect-match OSR of
+  * Sharifzadeh et al.; `IterativeOsr` zeroes the entries below each run's
+  * similarity levels (DESIGN.md §6).
   */
 object OsrDijkstra {
 
   def osr(
       g: RoadGraph,
       start: Int,
-      matchers: Array[PositionMatcher],
+      tables: Array[Array[Double]],
       metrics: BaselineMetrics,
       maxSettled: Long = Long.MaxValue,
   ): Option[SRoute] = {
-    val k = matchers.length
+    val k = tables.length
     final case class Entry(dist: Double, vertex: Int, layer: Int, route: SRoute)
     val ord = Ordering.by((e: Entry) => e.dist).reverse
     val pq  = mutable.PriorityQueue.empty[Entry](ord)
@@ -63,8 +56,9 @@ object OsrDijkstra {
         metrics.search.settled += 1
         if (metrics.search.settled > maxSettled) throw new BudgetExceeded
         if (e.layer == k) return Some(e.route)
-        if (e.layer < k && matchers(e.layer).matches(g, e.vertex) && !e.route.contains(e.vertex)) {
-          val r2 = e.route.extend(e.vertex, e.dist - e.route.length, g.poiSim(matchers(e.layer).sims, e.vertex))
+        val sim = g.poiSim(tables(e.layer), e.vertex)
+        if (sim > 0.0 && !e.route.contains(e.vertex)) {
+          val r2 = e.route.extend(e.vertex, e.dist - e.route.length, sim)
           pq.enqueue(Entry(e.dist, e.vertex, e.layer + 1, r2))
         }
         var i = g.adjIndex(e.vertex)
@@ -91,26 +85,25 @@ object OsrDijkstra {
 object OsrPne {
 
   /** Resumable NN searches shared across the routes of one OSR run, keyed by
-    * source vertex and position (each position has its own match predicate).
-    * `IterativeOsr` gives every run a new pool: the runs' match thresholds
-    * differ.
+    * source vertex and position (each position has its own table).
+    * `IterativeOsr` gives every run a new pool: the runs' tables differ.
     */
   final class SearchPool(g: RoadGraph, metrics: BaselineMetrics) {
     private val pool = mutable.HashMap.empty[(Int, Int), NearestNeighborSearch]
-    def of(source: Int, pos: Int, matcher: PositionMatcher): NearestNeighborSearch =
+    def of(source: Int, pos: Int, table: Array[Double]): NearestNeighborSearch =
       pool.getOrElseUpdate((source, pos),
-        new NearestNeighborSearch(g, source, v => matcher.matches(g, v), metrics.search))
+        new NearestNeighborSearch(g, source, g.poiSim(table, _) > 0.0, metrics.search))
     def totalBytes: Long = pool.valuesIterator.map(_.stateBytes).sum
   }
 
   def osr(
       g: RoadGraph,
       start: Int,
-      matchers: Array[PositionMatcher],
+      tables: Array[Array[Double]],
       metrics: BaselineMetrics,
       maxSettled: Long = Long.MaxValue,
   ): Option[SRoute] = {
-    val k    = matchers.length
+    val k    = tables.length
     val pool = new SearchPool(g, metrics)
 
     // Entry: partial route, the NN rank its last PoI was drawn at and the
@@ -121,7 +114,7 @@ object OsrPne {
 
     /** First NN rank >= from whose PoI is not already on `route`. */
     def nextValid(source: Int, pos: Int, exclude: SRoute, from: Int): Option[(Int, Int, Double)] = {
-      val nns = pool.of(source, pos, matchers(pos))
+      val nns = pool.of(source, pos, tables(pos))
       var r = from
       while (true) {
         if (metrics.search.settled > maxSettled) throw new BudgetExceeded
@@ -139,7 +132,7 @@ object OsrPne {
       val pos = parent.size
       val src = if (parent.isEmpty) start else parent.end
       nextValid(src, pos, parent, fromRank).foreach { case (r, p, d) =>
-        pq.enqueue(Entry(parent.extend(p, d, g.poiSim(matchers(pos).sims, p)), r, parent))
+        pq.enqueue(Entry(parent.extend(p, d, g.poiSim(tables(pos), p)), r, parent))
         if (pq.size > metrics.peakQueueSize) metrics.peakQueueSize = pq.size
       }
     }

@@ -31,7 +31,7 @@ object Tables {
       val (pv, pp, pe) = paper(name)
       T5Row(name, g.numVertices - g.numPois, g.numPois, g.numEdges, pv, pp, pe)
     }
-    val txt = BenchUtil.table("Table 5: datasets (ours vs paper)",
+    val txt = table("Table 5: datasets (ours vs paper)",
       Seq("Dataset", "|V|", "|P|", "|E|", "paper |V|", "paper |P|", "paper |E|"),
       rows.map(r => Seq(r.name, r.v.toString, r.p.toString, r.e.toString,
         r.paperV.toString, r.paperP.toString, r.paperE.toString)))
@@ -71,7 +71,7 @@ object Tables {
         avg(ms.filter(m => !m.initRatio.isNaN).map(_.initRatio)),
         2.0 * g.totalWeight)
     }
-    val txt = BenchUtil.table(
+    val txt = table(
       "Table 7: effect of initial search (proposed; Existing = whole-graph weight sum)",
       Seq("Dataset", "|Sq|", "Weight sum", "NNinit ms", "# routes", "Ratio", "Existing w.s."),
       rows.map(r => Seq(r.dataset, r.len.toString, f"${r.weightSum}%.4f",
@@ -99,7 +99,7 @@ object Tables {
       val b = qs.map(q => dist.run(q).metrics.settled).sum / qs.size
       T8Row(name, len, a, b)
     }
-    val txt = BenchUtil.table("Table 8: vertices visited by priority-queue policy",
+    val txt = table("Table 8: vertices visited by priority-queue policy",
       Seq("Dataset", "|Sq|", "Proposed", "Distance-based"),
       rows.map(r => Seq(r.dataset, r.len.toString, r.proposed.toString, r.distanceBased.toString)))
     (txt, rows)
@@ -119,37 +119,36 @@ object Tables {
   def table6(): (String, Seq[T6Row]) = {
     val (queriesPer, seed, cap) = (2, 6L, 10_000_000L)
     val rows = Datasets.all.flatMap { case (name, g, forest) =>
-      val qs = Workload.queries(g, forest, queriesPer, 4, seed, minPois = 10)
-      val gBytes  = BenchUtil.graphBytes(g)
-      val entryB  = BenchUtil.routeEntryBytes(2.5)
-      def bssrRow(algo: String, o: BssrOptions): T6Row = {
-        val ms = qs.map(new Bssr(g, forest, o.copy(maxSettled = cap)).run(_).metrics)
-        val q  = ms.map(_.peakQueueSize).max
-        T6Row(name, algo, gBytes, q, gBytes + q * entryB, ms.exists(_.aborted))
+      val qs     = Workload.queries(g, forest, queriesPer, 4, seed, minPois = 10)
+      val gBytes = graphBytes(g)
+      Algorithms.map { algo =>
+        val rs     = qs.map(run(algo, g, forest, _, cap))
+        val q      = rs.map(_.peakQueue).max
+        val layers = if (algo == "Dij") 5L * g.numVertices else 0L
+        T6Row(name, algo, gBytes, q,
+          gBytes + q * RouteEntryBytes + rs.map(_.nnBytes).max + layers, rs.exists(_.aborted))
       }
-      def baseRow(algo: String, useDij: Boolean): T6Row = {
-        val ms = qs.map { q =>
-          val m = new BaselineMetrics
-          IterativeOsr.skySR(g, forest, q, useDij, m, maxSettled = cap)
-          m
-        }
-        val q      = ms.map(_.peakQueueSize).max
-        val nns    = if (useDij) 0L else ms.map(_.peakNnBytes).max
-        val layers = if (useDij) 5L * g.numVertices else 0L
-        T6Row(name, algo, gBytes, q, gBytes + q * entryB + nns + layers,
-          ms.exists(_.aborted))
-      }
-      Seq(bssrRow("BSSR", BssrOptions.all), bssrRow("BSSR w/o Opt", BssrOptions.none),
-        baseRow("PNE", useDij = false), baseRow("Dij", useDij = true))
     }
-    val txt = BenchUtil.table(
+    val txt = table(
       "Table 6: memory model (|Sq|=4; graph + peak live search state)",
       Seq("Dataset", "Algorithm", "Graph", "Peak routes", "Model", "Capped?"),
-      rows.map(r => Seq(r.dataset, r.algo, BenchUtil.mb(r.graphBytes),
-        r.peakRoutes.toString, BenchUtil.mb(r.modelBytes),
+      rows.map(r => Seq(r.dataset, r.algo, mb(r.graphBytes),
+        r.peakRoutes.toString, mb(r.modelBytes),
         if (r.aborted) "yes" else "no")))
     (txt, rows)
   }
+
+  /** Table 6's graph footprint. CSR: adjVertex(4) + adjWeight(8) per
+    * directed edge; adjIndex(4) + poiCategory(4) per vertex.
+    */
+  private def graphBytes(g: RoadGraph): Long = 12L * g.numDirectedEdges + 8L * g.numVertices
+
+  /** Table 6's cost of one queued route of 2.5 PoIs on average: Vector node +
+    * boxed ints + entry header.
+    */
+  private val RouteEntryBytes = (64 + 40 * 2.5).toLong
+
+  private def mb(bytes: Long): String = f"${bytes / 1048576.0}%.1f MB"
 
   // ------------------------------------------- response time / # SkySRs --
   final case class RtRow(dataset: String, len: Int, algo: String,
@@ -165,44 +164,50 @@ object Tables {
     locally {
       val (_, g, forest) = Datasets.all.head
       val q = Workload.queries(g, forest, 1, 2, 999L, minPois = 10).head
-      new Bssr(g, forest).run(q)
-      new Bssr(g, forest, BssrOptions.none.copy(maxSettled = 200000)).run(q)
-      IterativeOsr.skySR(g, forest, q, useDij = true, new BaselineMetrics, 200000)
-      IterativeOsr.skySR(g, forest, q, useDij = false, new BaselineMetrics, 200000)
+      Algorithms.foreach(run(_, g, forest, q, 200000L))
     }
     val rows = for {
       (name, g, forest) <- Datasets.all
       len <- lens
-      row <- {
-        val qs = Workload.queries(g, forest, queriesPer, len, seed + len, minPois = 10)
-        def bssrRow(algo: String, o: BssrOptions): RtRow = {
-          val res = qs.map(new Bssr(g, forest, o.copy(maxSettled = cap)).run(_))
-          RtRow(name, len, algo, avg(res.map(_.metrics.totalTimeNanos.toDouble)) / 1e6,
-            res.exists(_.metrics.aborted), avg(res.map(_.skyline.size.toDouble)))
-        }
-        def baseRow(algo: String, useDij: Boolean): RtRow = {
-          val res = qs.map { q =>
-            val m = new BaselineMetrics
-            val s = IterativeOsr.skySR(g, forest, q, useDij, m, maxSettled = cap)
-            (m, s)
-          }
-          RtRow(name, len, algo, avg(res.map(_._1.totalTimeNanos.toDouble)) / 1e6,
-            res.exists(_._1.aborted), avg(res.map(_._2.size.toDouble)))
-        }
-        val base =
-          Seq(bssrRow("BSSR", BssrOptions.all), bssrRow("BSSR w/o Opt", BssrOptions.none))
-        // mirror the paper's missing bars: baselines only up to |Sq|=4
-        if (len <= 4) base ++ Seq(baseRow("PNE", useDij = false), baseRow("Dij", useDij = true))
-        else base
-      }
-    } yield row
-    val txt = BenchUtil.table("Response time (Fig. 3 shape) and # SkySRs (Fig. 6 shape)",
+      qs = Workload.queries(g, forest, queriesPer, len, seed + len, minPois = 10)
+      // mirror the paper's missing bars: baselines only up to |Sq|=4
+      algo <- if (len <= 4) Algorithms else Algorithms.filter(_.startsWith("BSSR"))
+    } yield {
+      val rs = qs.map(run(algo, g, forest, _, cap))
+      RtRow(name, len, algo, avg(rs.map(_.nanos.toDouble)) / 1e6,
+        rs.exists(_.aborted), avg(rs.map(_.skySRs.toDouble)))
+    }
+    val txt = table("Response time (Fig. 3 shape) and # SkySRs (Fig. 6 shape)",
       Seq("Dataset", "|Sq|", "Algorithm", "Avg ms", "Capped?", "# SkySRs"),
       rows.map(r => Seq(r.dataset, r.len.toString, r.algo,
         if (r.aborted) f">${r.avgMs}%.1f (cap)" else f"${r.avgMs}%.1f",
         if (r.aborted) "yes" else "no", f"${r.avgSkySRs}%.2f")))
     (txt, rows)
   }
+
+  // ----------------------------------------------- one algorithm's run --
+  /** The algorithms Table 6 and Fig. 3 compare. */
+  private val Algorithms = Seq("BSSR", "BSSR w/o Opt", "PNE", "Dij")
+
+  /** One answer: time, peak queued routes, peak live NN-search bytes (PNE's;
+    * 0 for the others), budget flag and skyline size.
+    */
+  private final case class Run(nanos: Long, peakQueue: Int, nnBytes: Long,
+                               aborted: Boolean, skySRs: Int)
+
+  /** Answers `q` with one of `Algorithms`, capped at `cap` settled vertices. */
+  private def run(algo: String, g: RoadGraph, forest: CategoryForest, q: Query, cap: Long): Run =
+    algo match {
+      case "BSSR" | "BSSR w/o Opt" =>
+        val o   = if (algo == "BSSR") BssrOptions.all else BssrOptions.none
+        val res = new Bssr(g, forest, o.copy(maxSettled = cap)).run(q)
+        val m   = res.metrics
+        Run(m.totalTimeNanos, m.peakQueueSize, 0L, m.aborted, res.skyline.size)
+      case "PNE" | "Dij" =>
+        val m   = new BaselineMetrics
+        val sky = IterativeOsr.skySR(g, forest, q, useDij = algo == "Dij", m, maxSettled = cap)
+        Run(m.totalTimeNanos, m.peakQueueSize, m.peakNnBytes, m.aborted, sky.size)
+    }
 
   // -------------------------------------------------------------- T1/T9 --
   final case class RouteRow(meters: Double, names: Seq[String], sem: Double)
@@ -239,7 +244,7 @@ object Tables {
   }
 
   private def routeTable(title: String, rows: Seq[RouteRow]): String =
-    BenchUtil.table(title, Seq("Distance", "Sequenced route", "Semantic score"),
+    table(title, Seq("Distance", "Sequenced route", "Semantic score"),
       rows.map(r => Seq(f"${r.meters}%.0f meters", r.names.mkString(" -> "), f"${r.sem}%.3f")))
 
   // ------------------------------------------------------------------ T4 --
@@ -248,11 +253,21 @@ object Tables {
     */
   def table4(): (String, Vector[SRoute]) = {
     val res = new Bssr(PaperExample.graph, PaperExample.forest).run(PaperExample.query)
-    val txt = BenchUtil.table("Table 4 (final state): BSSR on the Fig. 1 example",
+    val txt = table("Table 4 (final state): BSSR on the Fig. 1 example",
       Seq("Route", "Length", "Semantic"),
       res.skyline.map(r => Seq(
         r.pois.map(p => s"p$p").mkString("<", ",", ">"), f"${r.length}%.1f", f"${r.semScore}%.2f")))
     (txt, res.skyline)
+  }
+
+  /** Render a paper-style table: header row + aligned columns. */
+  def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
+    val all    = header +: rows
+    val widths = header.indices.map(i => all.map(_(i).length).max)
+    def fmt(r: Seq[String]) =
+      r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
+    val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
+    (s"== $title ==" +: fmt(header) +: sep +: rows.map(fmt)).mkString("\n")
   }
 
   private def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size

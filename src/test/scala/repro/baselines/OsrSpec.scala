@@ -16,16 +16,27 @@ class OsrSpec extends AnyFunSuite {
 
   private val forest = CategoryForest.foursquareLike
 
-  private val cache = mutable.Map.empty[Long, (RoadGraph, Array[Array[Double]])]
-  private def graphFor(seed: Long) =
-    cache.getOrElseUpdate(seed, {
-      val g = Datasets.tiny(seed, nRoad = 80, nPois = 40)
+  /** A seeded tiny graph, or its integer-weight twin (`TestUtil.tieGraph`)
+    * with `ties`, and its all-pairs distances.
+    */
+  private val cache = mutable.Map.empty[(Long, Boolean), (RoadGraph, Array[Array[Double]])]
+  private def graphFor(seed: Long, ties: Boolean = false) =
+    cache.getOrElseUpdate((seed, ties), {
+      val g =
+        if (ties) TestUtil.tieGraph(seed, nRoad = 80, nPois = 40)
+        else Datasets.tiny(seed, nRoad = 80, nPois = 40)
       (g, Exhaustive.allPairs(g))
     })
 
-  private def matchersFor(g: RoadGraph, q: Query, mins: Seq[Double]): Array[PositionMatcher] =
-    mins.zipWithIndex.map { case (m, i) =>
-      PositionMatcher(m, Array.tabulate(forest.size)(c => forest.sim(q.categories(i), c)))
+  /** Each position's similarity table with the entries below its threshold
+    * zeroed, as `IterativeOsr` builds them for one run.
+    */
+  private def tablesFor(q: Query, mins: Seq[Double]): Array[Array[Double]] =
+    mins.zipWithIndex.map { case (h, i) =>
+      Array.tabulate(forest.size) { c =>
+        val s = forest.sim(q.categories(i), c)
+        if (s >= h) s else 0.0
+      }
     }.toArray
 
   /** Brute-force optimum under per-position similarity thresholds. */
@@ -46,10 +57,10 @@ class OsrSpec extends AnyFunSuite {
       val q = Workload.queries(g, forest, 1, 3, seed * 7, minPois = 1).head
       for (mins <- Seq(Seq(1.0, 1.0, 1.0), Seq(0.5, 1.0, 0.5), Seq(0.1, 0.1, 0.1))) {
         val m   = new BaselineMetrics
-        val ms  = matchersFor(g, q, mins)
+        val ts  = tablesFor(q, mins)
         val got =
-          if (useDij) OsrDijkstra.osr(g, q.start, ms, m)
-          else OsrPne.osr(g, q.start, ms, m)
+          if (useDij) OsrDijkstra.osr(g, q.start, ts, m)
+          else OsrPne.osr(g, q.start, ts, m)
         val want = bruteOsr(g, d, q, mins)
         (got, want) match {
           case (Some(r), Some(l)) =>
@@ -65,17 +76,22 @@ class OsrSpec extends AnyFunSuite {
     }
   }
 
-  for (seed <- 1L to 8L; useDij <- Seq(true, false); len <- 2 to 3) {
-    val name = if (useDij) "Dij" else "PNE"
-    test(s"iterated-$name SkySR == exhaustive (seed=$seed, |Sq|=$len)") {
-      val (g, d) = graphFor(seed)
+  // With integer weights (`ties`) every length is exact, so the points are
+  // compared bit for bit.
+  for ((ties, seed) <- (1L to 8L).map(false -> _) ++ (1L to 2L).map(true -> _);
+       useDij <- Seq(true, false); len <- 2 to 3) {
+    val name  = if (useDij) "Dij" else "PNE"
+    val input = if (ties) s"ties, seed=$seed" else s"seed=$seed"
+    test(s"iterated-$name SkySR == exhaustive ($input, |Sq|=$len)") {
+      val (g, d) = graphFor(seed, ties)
       val q     = Workload.queries(g, forest, 1, len, seed * 13 + len, minPois = 1).head
       val truth = Exhaustive.skySR(g, forest, q, d)
       val m     = new BaselineMetrics
       val got   = IterativeOsr.skySR(g, forest, q, useDij, m)
+      val tol   = if (ties) 0.0 else 1e-9
       assert(!m.aborted)
-      TestUtil.assertSameSkyline(s"$name seed=$seed", got, truth)
-      TestUtil.assertRouteScores(g, forest, q, got)
+      TestUtil.assertSameSkyline(s"$name $input", got, truth, tol)
+      TestUtil.assertRouteScores(g, forest, q, got, tol)
       assert(m.osrRuns == IterativeOsr.comboCount(g, forest, q))
     }
   }

@@ -24,16 +24,21 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     TestUtil.assertSameSkyline("paper-example", got, truth)
   }
 
-  for (seed <- 1L to 4L; len <- 2 to 3) {
-    test(s"Spark pipeline == exhaustive == BSSR (seed=$seed, |Sq|=$len)") {
-      val g = Datasets.tiny(seed)
+  // With integer weights (`ties`, `TestUtil.tieGraph`) every length is exact
+  // and equal-length routes abound: the points are compared bit for bit,
+  // which checks the pipeline's `< l0` / `<= l0` prunes on exact ties.
+  for ((ties, seed) <- (1L to 4L).map(false -> _) ++ (1L to 2L).map(true -> _); len <- 2 to 3) {
+    val input = if (ties) s"ties, seed=$seed" else s"seed=$seed"
+    test(s"Spark pipeline == exhaustive == BSSR ($input, |Sq|=$len)") {
+      val g = if (ties) TestUtil.tieGraph(seed) else Datasets.tiny(seed)
       val q = Workload.queries(g, forest, 1, len, seed * 31 + len, minPois = 1).head
       val truth = Exhaustive.skySR(g, forest, q)
       val bssr  = new Bssr(g, forest).run(q).skyline
       val dist  = BulkSkySRSpark.run(spark, g, forest, q)
-      TestUtil.assertSameSkyline(s"spark-vs-truth seed=$seed", dist, truth)
-      TestUtil.assertSameSkyline(s"spark-vs-bssr seed=$seed", dist, bssr)
-      TestUtil.assertRouteScores(g, forest, q, dist)
+      val tol   = if (ties) 0.0 else 1e-9
+      TestUtil.assertSameSkyline(s"spark-vs-truth $input", dist, truth, tol)
+      TestUtil.assertSameSkyline(s"spark-vs-bssr $input", dist, bssr, tol)
+      TestUtil.assertRouteScores(g, forest, q, dist, tol)
     }
   }
 
