@@ -38,8 +38,9 @@ direction` or are `mixed`: a shift that one pair shows and the swapped pair
 does not is run-to-run spread, not the change.
 
 The output file also holds, under `lines`, each side's line count of the
-program sources under `src/main/scala` and `jobs` (newlines in their
-`.scala` files), and the summary prints them (parent -> change).
+program sources under `src/main/scala` and `jobs` and of the tests under
+`src/test/scala` (newlines in their `.scala` files), and the summary prints
+them (parent -> change), so code moved from `src/main` into the tests shows.
 
 Each `--claim WORKLOAD:METRIC` (repeatable) adds a gain verdict for that
 end-to-end metric, in the direction BENCHMARK.json gives it:
@@ -89,7 +90,7 @@ TRACED_SEED = 1
 # The traced pairs of each workload: output key -> the order its sides run in.
 TRACED_PAIRS = {"traced": ("parent", "change"), "traced_swapped": ("change", "parent")}
 TRACED_NOTES = ("# answers.digest", "# counters")
-LINE_DIRS = ("src/main/scala", "jobs")
+LINE_DIRS = ("src/main/scala", "jobs", "src/test/scala")
 
 
 def line_counts(side_root):

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{PositionSpec, Query, QuerySetup, SRoute, SkylineSet}
+import repro.core.{PositionSpec, Query, QueryPlan, SRoute, SkylineSet}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -37,8 +37,8 @@ object IterativeOsr {
   /** Exact SkySR via iterated OSR. `useDij` picks the Dijkstra-based OSR
     * solver, otherwise PNE. Budget caps mark the run `aborted` (the paper's
     * "not finished after a month" bars). The OSR solvers have no final leg,
-    * so a query with a destination is rejected first; `QuerySetup`
-    * validates the rest.
+    * so a query with a destination is rejected first; `QueryPlan.validate`
+    * checks the rest.
     */
   def skySR(
       g: RoadGraph,
@@ -51,7 +51,8 @@ object IterativeOsr {
     val t0 = System.nanoTime()
     require(query.destination.isEmpty,
       s"iterated OSR answers only queries without a destination (got destination ${query.destination.get})")
-    val simTables = QuerySetup(g, forest, query.start, query.specs, None).simPos
+    QueryPlan.validate(g, forest, query.start, query.specs, None)
+    val simTables = query.specs.toArray.map(PositionSpec.simTable(forest, _))
     val levels    = simLevels(g, simTables)
     val k         = query.size
     val candidates = mutable.ArrayBuffer.empty[SRoute]

@@ -74,9 +74,6 @@ final class Bssr(
   private var stamp    = 0
   private val pq       = new MinHeap(1024)
 
-  /** Categories that actually occur on PoIs — for δ of Lemma 5.8. */
-  private val presentCats: Array[Int] = g.poisByCategory.keys.toArray
-
   /** Plain category-sequence query (the paper's §7 setting, plus the §6
     * destination variation when `query.destination` is set).
     */
@@ -94,52 +91,19 @@ final class Bssr(
     val metrics = new BssrMetrics
     val k       = specs.size
 
-    // Similarity tables, Lemma 5.5's overlap switch and the destination
-    // distances (validates the sequence, start, destination and category ids).
-    val setup       = QuerySetup(g, forest, start, specs, destination, metrics.search)
-    val simPos      = setup.simPos
-    val overlapping = setup.overlapping
-    // Largest non-perfect similarity reachable at each position (present
-    // categories only) — drives δ, the minimum semantic increment.
-    val maxNonPerf: Array[Double] = Array.tabulate(k) { i =>
-      presentCats.foldLeft(0.0) { (m, c) =>
-        val s = simPos(i)(c); if (s < 1.0 && s > m) s else m
-      }
-    }
-    // maxNonPerfSuffix(s) = max over positions s..k-1 (0-based) — the best
-    // non-perfect similarity any future position of a size-s route can take.
-    val maxNonPerfSuffix = new Array[Double](k + 1)
-    for (s <- (0 until k).reverse)
-      maxNonPerfSuffix(s) = math.max(maxNonPerf(s), maxNonPerfSuffix(s + 1))
-
+    // Similarity tables, NNinit seeds (§5.3.1, Optimization 1) and leg bounds
+    // (§5.3.3, Optimization 3), every search counted in `metrics.search`.
+    val plan = QueryPlan(g, forest, start, specs, destination, opts, metrics.search)
+    import plan.{simPos, overlapping, lsSuf, lpSuf, maxNonPerfSuffix}
     val sky = new SkylineSet
-
-    // ---- Optimization 1: initial search (§5.3.1) -------------------------
-    if (opts.useInit) {
-      val ti = System.nanoTime()
-      val found = NNInit.runTables(g, simPos, start, setup.distToDest, sky, metrics.search)
-      metrics.initTimeNanos = System.nanoTime() - ti
-      metrics.initRoutes = found.size
-      val perfect = found.filter(_.semScore == 0.0)
-      if (perfect.nonEmpty) {
-        val worstSem = found.maxBy(_.semScore)
-        metrics.initRatio = worstSem.length / perfect.head.length
-      }
-    }
-
-    // ---- Optimization 3: possible minimum distances (§5.3.3) -------------
-    // legS(i)/legP(i) bound the length added between positions i and i+1
-    // (1-based legs 1..k-1), computed with the multi-source multi-destination
-    // Dijkstra over the PoI sets restricted to the l̄(φ) ball around v_q.
-    // Off, every bound is 0, which turns off the lower-bound prune terms below.
-    val (legS, legP, _) =
-      if (opts.useLowerBound)
-        LowerBounds.legsTables(g, simPos, start, sky.thresholdFor(0.0), metrics.search)
-      else (Array.fill(k)(0.0), Array.fill(k)(0.0), null)
-    val lsSuf = LowerBounds.suffixSums(legS)
-    val lpSuf = LowerBounds.suffixSums(legP)
-    metrics.legS = legS.slice(1, k)
-    metrics.legP = legP.slice(1, k)
+    plan.seeds.foreach(sky.update)
+    metrics.initTimeNanos = plan.initNanos
+    metrics.initRoutes = plan.seeds.size
+    val perfect = plan.seeds.filter(_.semScore == 0.0)
+    if (perfect.nonEmpty)
+      metrics.initRatio = plan.seeds.maxBy(_.semScore).length / perfect.head.length
+    metrics.legS = plan.legS.slice(1, k)
+    metrics.legP = plan.legP.slice(1, k)
 
     // ---- pruning (Lemma 5.3 via Def. 5.4; Lemma 5.8 when bounds are on) --
     def shouldPrune(r: SRoute): Boolean = {
@@ -181,7 +145,7 @@ final class Bssr(
     def processCandidate(parent: SRoute, u: Int, d: Double, sim: Double): Boolean =
       !parent.contains(u) && {
         val rt = parent.extend(u, d, sim)
-        if (rt.size == k) rt.toDestination(setup.distToDest).exists(sky.update) // rejects dominated/equiv
+        if (rt.size == k) rt.toDestination(plan.distToDest).exists(sky.update) // rejects dominated/equiv
         else { if (!shouldPrune(rt)) enqueue(rt); false }
       }
 

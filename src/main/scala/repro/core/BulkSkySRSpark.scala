@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{PoiDistances, RoadGraph}
+import repro.graph.{PoiDistances, RoadGraph, SearchMetrics}
 import repro.semantics.CategoryForest
 
 /** The distributed dataflow rendering of bulk SkySR search: iterative
@@ -12,8 +12,9 @@ import repro.semantics.CategoryForest
   * §2). Exact — verified against `Bssr` and `Exhaustive` in the tests.
   *
   * Phases:
-  *  1. Seed upper bounds with NNinit on the driver (the same §5.3.1
-  *     optimization BSSR uses); `L0` = best perfect-match length.
+  *  1. Build the query's [[QueryPlan]] locally, as BSSR does: NNinit seeds
+  *     the upper bounds (§5.3.1; `L0` = best perfect-match length) and the
+  *     Def. 5.7 leg bounds give the pruning suffixes and sources.
   *  2. Build the PoI graph distributedly: bounded Dijkstras from the start
   *     and every semantically matching PoI, in parallel over a broadcast
   *     CSR ([[repro.graph.PoiDistances]]), one row per matched position,
@@ -39,25 +40,17 @@ object BulkSkySRSpark {
     import spark.implicits._
     val k = query.size
 
-    // Similarity tables, overlap and destination distances, as in Bssr.
-    val setup  = QuerySetup(g, forest, query.start, query.specs, query.destination)
-    val simPos = setup.simPos
+    // Phase 1: the query plan Bssr builds, NNinit and leg bounds included.
+    // The seeds and L0 already include the §6 destination leg when one is given.
+    val plan = QueryPlan(g, forest, query.start, query.specs, query.destination,
+      BssrOptions.all, new SearchMetrics)
+    import plan.{simPos, l0, lsSuf}
     // Overlapping positions make the used-PoI set part of a route's state.
-    val usedSetState = setup.overlapping.contains(true)
-
-    // Phase 1: driver-side NNinit seeds (upper bound L0, Lemma 5.3). Seeds
-    // and L0 already include the §6 destination leg when one is given.
-    val sky = new SkylineSet
-    val seeds = NNInit.runTables(g, simPos, query.start, setup.distToDest, sky, null)
-    val l0 = sky.thresholdFor(0.0)
-
-    // Lower-bound suffixes (Def. 5.7) shared with BSSR, and each leg's sources.
-    val (legS, _, legSrcs) = LowerBounds.legsTables(g, simPos, query.start, l0)
-    val lsSuf = LowerBounds.suffixSums(legS)
+    val usedSetState = plan.overlapping.contains(true)
 
     // Phase 2: PoI graph from the start and the leg sources (the L0 ball), with
     // one row per `(pos, sim)` of its target's category: the semantic filter.
-    val sourcePois = legSrcs.iterator.flatten.distinct.toSeq
+    val sourcePois = plan.legSrcs.iterator.flatten.distinct.toSeq
     val posSims = forest.categories.map(c =>
       (0 until k).map(i => (i, simPos(i)(c))).filter(_._2 > 0.0))
     val targets = forest.categories.filter(posSims(_).nonEmpty).toSet
@@ -91,12 +84,12 @@ object BulkSkySRSpark {
     val complete = routes.select("pois", "len", "prod").collect().toVector
       .flatMap { r =>
         SRoute(r.getAs[scala.collection.Seq[Int]]("pois").toVector,
-          r.getDouble(1), r.getDouble(2)).toDestination(setup.distToDest)
+          r.getDouble(1), r.getDouble(2)).toDestination(plan.distToDest)
       }
     poiGraph.unpersist()
 
     // Phase 4: final minimal skyline over pipeline results + NNinit seeds.
-    SkylineSet.of(complete ++ seeds)
+    SkylineSet.of(complete ++ plan.seeds)
   }
 
   /** Per-end-PoI skyline prune: among routes of the same level ending at the
@@ -105,7 +98,7 @@ object BulkSkySRSpark {
     */
   private[core] def skylinePerEnd(df: DataFrame, includeUsedSet: Boolean): DataFrame = {
     import df.sparkSession.implicits._
-    // When some positions can match the same PoIs (`QuerySetup.overlapping`),
+    // When some positions can match the same PoIs (`QueryPlan.overlapping`),
     // two partials with different used-PoI sets have different legal futures
     // (Def. 3.4-iii), so dominance is only safe within identical (endV,
     // used-set) states; otherwise (the paper's distinct-tree workloads) the

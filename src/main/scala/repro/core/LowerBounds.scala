@@ -6,8 +6,8 @@ import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
   * perfect-match (`l_p`) lower bounds on the length a route must still gain
   * per remaining leg, both from one multi-source multi-destination Dijkstra
   * pass per leg (Lemma 5.9) over PoI sets restricted to the `l̄(φ)` ball
-  * around the start (Algorithm 4). Shared by the sequential BSSR and the Spark
-  * pipeline so both prune with identical bounds.
+  * around the start (Algorithm 4). [[QueryPlan]] computes them once per query,
+  * so the sequential BSSR and the Spark pipeline prune with identical bounds.
   */
 object LowerBounds {
 

@@ -15,6 +15,7 @@ import repro.graph.{NearestNeighborSearch, RoadGraph, SearchMetrics}
   * Generalized over per-position similarity tables (so the §6 complex
   * category requirements work unchanged) and the optional destination (the
   * final leg to the destination is added to each seeded route's length).
+  * [[QueryPlan]] runs it for both solvers.
   */
 object NNInit {
 
@@ -27,7 +28,7 @@ object NNInit {
       sky: SkylineSet,
       metrics: SearchMetrics,
   ): Vector[SRoute] = {
-    val m     = if (metrics != null) metrics else new SearchMetrics // null: uncounted
+    val m     = if (metrics != null) metrics else new SearchMetrics // null (skybench's probe): uncounted
     val k     = simPos.length
     val found = Vector.newBuilder[SRoute]
     var route = SRoute.empty

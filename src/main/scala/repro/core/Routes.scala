@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.graph.{Dijkstra, RoadGraph, SearchMetrics}
 import repro.semantics.CategoryForest
 
 import scala.collection.mutable
@@ -49,61 +48,6 @@ object PositionSpec {
   }
 }
 
-/** What a query's positions and destination become before any search
-  * starts; shared by `Bssr`, `BulkSkySRSpark` and their NNinit and
-  * lower-bound phases.
-  *
-  *  - `simPos(i)`: position `i`'s similarity table.
-  *  - `overlapping(i)`: some other position matches a category that position
-  *    `i` matches and that PoIs carry, so both can match the same PoI and the
-  *    route's used-PoI set constrains them (Def. 3.4-iii). Bssr then switches
-  *    Lemma 5.5 off at `i`: the at-least-as-similar substitute may already be
-  *    on the route, and the lemma only prunes, so exactness holds. The Spark
-  *    pipeline keys its per-end skyline on the used set. Paper workloads use
-  *    distinct trees (§7.1), so nothing overlaps.
-  *  - `distToDest`: §6 destination variation, the distance from every vertex
-  *    *to* the destination (the transpose handles directed graphs).
-  */
-final class QuerySetup(
-    val simPos: Array[Array[Double]],
-    val overlapping: Array[Boolean],
-    val distToDest: Option[Array[Double]],
-)
-
-object QuerySetup {
-
-  /** The checks that need no table: the category sequence is non-empty, the
-    * start, the destination and every category id are in range, and the start
-    * is a road vertex (DESIGN.md §6b). Throws `IllegalArgumentException`
-    * naming the bad value.
-    */
-  def validate(g: RoadGraph, forest: CategoryForest, start: Int,
-               specs: Vector[PositionSpec], destination: Option[Int]): Unit = {
-    require(specs.nonEmpty, "empty category sequence")
-    g.requireVertex(start, "start")
-    require(!g.isPoi(start), s"start vertex $start is a PoI; a query starts at a road vertex")
-    destination.foreach(g.requireVertex(_, "destination"))
-    specs.foreach(PositionSpec.requireCategories(forest, _))
-  }
-
-  /** Validates the query, then builds the setup. The destination search is
-    * counted in `metrics`.
-    */
-  def apply(g: RoadGraph, forest: CategoryForest, start: Int,
-            specs: Vector[PositionSpec], destination: Option[Int],
-            metrics: SearchMetrics = new SearchMetrics): QuerySetup = {
-    validate(g, forest, start, specs, destination)
-    val simPos = specs.toArray.map(PositionSpec.simTable(forest, _))
-    val present = g.poisByCategory.keys
-    val matchSets = simPos.map(t => present.filter(c => t(c) > 0.0).toSet)
-    val overlapping = Array.tabulate(simPos.length) { i =>
-      simPos.indices.exists(j => j != i && matchSets(i).intersect(matchSets(j)).nonEmpty)
-    }
-    new QuerySetup(simPos, overlapping, destination.map(d =>
-      Dijkstra.fromSource(g.transpose, d, metrics = metrics)))
-  }
-}
-
 /** A (possibly partial) route: the PoI vertices visited so far, the length
   * score accumulated so far, and the product of per-position category
   * similarities (Def. 3.5).
@@ -132,7 +76,7 @@ final case class SRoute(pois: Vector[Int], length: Double, simProduct: Double) {
     SRoute(pois :+ p, length + legDist, simProduct * sim)
 
   /** The finished route with the §6 destination leg added (`distToDest` as in
-    * [[QuerySetup]]); None if its last PoI cannot reach the destination.
+    * [[QueryPlan]]); None if its last PoI cannot reach the destination.
     */
   def toDestination(distToDest: Option[Array[Double]]): Option[SRoute] = distToDest match {
     case None => Some(this)

@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Bssr, BssrOptions, Query, QuerySetup}
+import repro.core.{Bssr, BssrOptions, Query, QueryPlan}
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -30,7 +30,7 @@ object DistributedQueryRunner {
       queries: Seq[Query],
       opts: BssrOptions = BssrOptions.all,
   ): DataFrame = {
-    queries.foreach(q => QuerySetup.validate(g, forest, q.start, q.specs, q.destination))
+    queries.foreach(q => QueryPlan.validate(g, forest, q.start, q.specs, q.destination))
     import spark.implicits._
     val sc    = spark.sparkContext
     val bg    = sc.broadcast(g)

@@ -14,6 +14,23 @@ object TestUtil {
       g.adjWeight.map(w => ((w * 1e6).toLong % 3).toDouble), g.poiCategory)
   }
 
+  /** Directed variant of `Datasets.tiny(seed, 80, 40)`: each undirected edge
+    * becomes two arcs with asymmetric weights (forward w, backward 1.3·w) —
+    * strongly connected, but with genuinely directional distances.
+    */
+  def directedGraph(seed: Long): repro.graph.RoadGraph = {
+    val g = repro.data.Datasets.tiny(seed, nRoad = 80, nPois = 40)
+    val arcs = for {
+      u <- 0 until g.numVertices
+      i <- g.adjIndex(u) until g.adjIndex(u + 1)
+      v = g.adjVertex(i)
+      if u < v
+      w = g.adjWeight(i)
+      arc <- Seq((u, v, w), (v, u, 1.3 * w))
+    } yield arc
+    repro.graph.RoadGraph.fromDirectedEdges(g.numVertices, arcs, g.poiCategory)
+  }
+
   /** Two skylines agree iff they have the same (length, semScore) points in
     * order (within tolerance). PoI sequences may differ only when two routes
     * are exactly equivalent (the minimal set keeps an arbitrary

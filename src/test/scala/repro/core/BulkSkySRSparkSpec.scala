@@ -76,6 +76,20 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       Exhaustive.skySR(g, forest, q))
   }
 
+  // The PoI graph, the leg bounds and the destination leg must all follow
+  // arc directions (the destination leg runs on the transpose).
+  for (seed <- 1L to 2L; dest <- Seq(false, true)) {
+    test(s"Spark pipeline == exhaustive == BSSR on a directed graph (seed=$seed, dest=$dest)") {
+      val g = TestUtil.directedGraph(seed)
+      val q = Workload.queries(g, forest, 1, 3, seed * 3, minPois = 1).head
+        .copy(destination = if (dest) Some(g.pois.head) else None)
+      val dist  = BulkSkySRSpark.run(spark, g, forest, q)
+      val input = s"directed, seed=$seed, dest=$dest"
+      TestUtil.assertSameSkyline(s"spark-vs-truth $input", dist, Exhaustive.skySR(g, forest, q))
+      TestUtil.assertSameSkyline(s"spark-vs-bssr $input", dist, new Bssr(g, forest).run(q).skyline)
+    }
+  }
+
   // No PoI carries a root category, so no route matches a root position
   // perfectly: NNinit finds no perfect route and L0 = +∞.
   test("Spark pipeline == exhaustive == BSSR when no perfect route exists (L0 = +∞)") {

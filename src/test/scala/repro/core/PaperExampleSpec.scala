@@ -14,7 +14,9 @@ import repro.graph.SearchMetrics
 class PaperExampleSpec extends AnyFunSuite {
 
   private val tol = 1e-9
-  private val simPos = QuerySetup(graph, forest, query.start, query.specs, None).simPos
+  private def plan(opts: BssrOptions) =
+    QueryPlan(graph, forest, query.start, query.specs, None, opts, new SearchMetrics)
+  private val simPos = plan(BssrOptions.none).simPos
 
   test("Example 5.6: NNinit finds ⟨p2,p5,p7⟩ then ⟨p2,p5,p8⟩ with length 15") {
     val sky = new SkylineSet
@@ -42,6 +44,20 @@ class PaperExampleSpec extends AnyFunSuite {
     val (legS, legP, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
     assert(legP.slice(1, 3).toSeq == Seq(2.0, 1.0))
     (1 to 2).foreach(i => assert(legP(i) >= legS(i)))
+  }
+
+  test("the query plan holds the seeds, L0 and leg bounds only when their options are on") {
+    val on = plan(BssrOptions.all)
+    assert(on.seeds.map(_.pois) == expectedInitRoutes.map(_._1))
+    on.seeds.zip(expectedInitRoutes).foreach { case (r, (_, el, es)) =>
+      assert(math.abs(r.length - el) < tol); assert(math.abs(r.semScore - es) < tol)
+    }
+    assert(on.l0 == 15.0)
+    assert(on.legS.slice(1, 3).toSeq == Seq(2.0, 1.0) && on.legP.slice(1, 3).toSeq == Seq(2.0, 1.0))
+    val off = plan(BssrOptions.none)
+    assert(off.seeds.isEmpty && off.l0 == Double.PositiveInfinity && off.initNanos == 0L)
+    assert((off.legS ++ off.legP ++ off.lsSuf ++ off.lpSuf).forall(_ == 0.0))
+    assert(off.legSrcs.forall(_.isEmpty))
   }
 
   test("Table 4 final state: skyline is {⟨p6,p9,p8⟩ (12.6, 0.5), ⟨p10,p12,p13⟩ (13, 0)}") {

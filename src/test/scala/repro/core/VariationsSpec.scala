@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.baselines.Exhaustive
 import repro.data.{Datasets, Workload}
-import repro.graph.{Dijkstra, RoadGraph}
+import repro.graph.Dijkstra
 import repro.semantics.CategoryForest
 
 /** The §6 variations: directed graphs, destinations, complex category
@@ -16,25 +16,8 @@ class VariationsSpec extends AnyFunSuite {
 
   private val forest = CategoryForest.foursquareLike
 
-  /** Directed variant of a tiny dataset: each undirected edge becomes two
-    * arcs with asymmetric weights (forward w, backward 1.3·w) — strongly
-    * connected, but with genuinely directional distances.
-    */
-  private def directed(seed: Long): RoadGraph = {
-    val g = Datasets.tiny(seed, nRoad = 80, nPois = 40)
-    val arcs = for {
-      u <- 0 until g.numVertices
-      i <- g.adjIndex(u) until g.adjIndex(u + 1)
-      v = g.adjVertex(i)
-      if u < v
-      w = g.adjWeight(i)
-      arc <- Seq((u, v, w), (v, u, 1.3 * w))
-    } yield arc
-    RoadGraph.fromDirectedEdges(g.numVertices, arcs, g.poiCategory)
-  }
-
   test("transpose reverses distances; undirected graphs are self-transpose") {
-    val dg = directed(1)
+    val dg = TestUtil.directedGraph(1)
     val dFwd = Dijkstra.fromSource(dg, 5)
     val dRev = Dijkstra.fromSource(dg.transpose, 5)
     // dRev(v) = distance from v to 5 in the directed graph
@@ -47,7 +30,7 @@ class VariationsSpec extends AnyFunSuite {
   }
 
   test("directed distances are genuinely asymmetric in the fixture") {
-    val dg = directed(1)
+    val dg = TestUtil.directedGraph(1)
     val asym = (0 until dg.numVertices).exists { v =>
       v != 0 && math.abs(Dijkstra.fromSource(dg, 0)(v) -
         Dijkstra.fromSource(dg, v)(0)) > 1e-9
@@ -57,7 +40,7 @@ class VariationsSpec extends AnyFunSuite {
 
   for (seed <- 1L to 6L) {
     test(s"directed graphs: BSSR == exhaustive (seed=$seed)") {
-      val dg = directed(seed)
+      val dg = TestUtil.directedGraph(seed)
       val q  = Workload.queries(dg, forest, 1, 3, seed * 3, minPois = 1).head
       val truth = Exhaustive.skySR(dg, forest, q)
       val res = new Bssr(dg, forest).run(q)
@@ -77,7 +60,7 @@ class VariationsSpec extends AnyFunSuite {
   }
 
   test("destination on a directed graph uses to-destination distances") {
-    val dg = directed(3)
+    val dg = TestUtil.directedGraph(3)
     val q = Workload.queries(dg, forest, 1, 2, 5L, minPois = 1).head
       .copy(destination = Some(1))
     TestUtil.assertSameSkyline("directed+dest",
