@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.PaperExample
+import repro.core.PaperExampleSpec
 
 /** Table 4: the worked example's final state (the 12-step trace is asserted
   * in `PaperExampleSpec`; this bench prints the paper-style table).
@@ -12,6 +12,6 @@ class Table4Bench extends AnyFunSuite {
     val (txt, sky) = Tables.table4()
     println(txt)
     val got = sky.map(r => (r.pois, math.round(r.length * 10) / 10.0, r.semScore))
-    assert(got == PaperExample.expectedSkyline.map { case (p, l, s) => (p, l, s) })
+    assert(got == PaperExampleSpec.expectedSkyline.map { case (p, l, s) => (p, l, s) })
   }
 }

@@ -29,11 +29,6 @@ object IterativeOsr {
     simTables.map(t => present.map(t(_)).filter(_ > 0.0).distinct.sorted.reverse)
   }
 
-  def comboCount(g: RoadGraph, forest: CategoryForest, query: Query): Long = {
-    val simTables = query.specs.toArray.map(PositionSpec.simTable(forest, _))
-    simLevels(g, simTables).map(_.length.toLong).product
-  }
-
   /** Exact SkySR via iterated OSR. `useDij` picks the Dijkstra-based OSR
     * solver, otherwise PNE. Budget caps mark the run `aborted` (the paper's
     * "not finished after a month" bars). The OSR solvers have no final leg,

@@ -39,7 +39,7 @@ object OsrDijkstra {
       start: Int,
       tables: Array[Array[Double]],
       metrics: BaselineMetrics,
-      maxSettled: Long = Long.MaxValue,
+      maxSettled: Long,
   ): Option[SRoute] = {
     val k = tables.length
     final case class Entry(dist: Double, vertex: Int, layer: Int, route: SRoute)
@@ -101,7 +101,7 @@ object OsrPne {
       start: Int,
       tables: Array[Array[Double]],
       metrics: BaselineMetrics,
-      maxSettled: Long = Long.MaxValue,
+      maxSettled: Long,
   ): Option[SRoute] = {
     val k    = tables.length
     val pool = new SearchPool(g, metrics)

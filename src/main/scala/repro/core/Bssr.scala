@@ -86,7 +86,7 @@ final class Bssr(
     * max similarity, exactly the paper's proposal).
     */
   def runSpecs(start: Int, specs: Vector[PositionSpec],
-               destination: Option[Int] = None): BssrResult = {
+               destination: Option[Int]): BssrResult = {
     val t0      = System.nanoTime()
     val metrics = new BssrMetrics
     val k       = specs.size

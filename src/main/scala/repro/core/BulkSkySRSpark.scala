@@ -61,12 +61,14 @@ object BulkSkySRSpark {
       .cache()
 
     // Phase 3: level-synchronous growth from the start's rows at level 0.
-    // Each level is pruned by Lemma 5.3 against L0 (with L0 = +∞ this keeps
-    // every route that can still complete) and, below the last, per end-PoI.
-    def prune(level: DataFrame, i: Int): DataFrame =
-      if (i < k - 1)
-        skylinePerEnd(level.where($"len" + lit(lsSuf(i + 1)) < lit(l0)), usedSetState)
-      else level.where($"len" <= lit(l0))
+    // Each level keeps the routes that can still finish shorter than L0
+    // (Lemma 5.3; with L0 = +∞, every route that can still complete): any
+    // other is dominated by or equivalent to the perfect seed of length L0,
+    // which Phase 4 adds. Below the last level it is also pruned per end-PoI.
+    def prune(level: DataFrame, i: Int): DataFrame = {
+      val kept = level.where($"len" + lit(lsSuf(i + 1)) < lit(l0))
+      if (i < k - 1) skylinePerEnd(kept, usedSetState) else kept
+    }
     val level0 = poiGraph.where($"pos" === 0 && $"src" === query.start)
       .select(array($"dst") as "pois", $"dst" as "endV", $"dist" as "len", $"sim" as "prod")
     val routes = (1 until k).foldLeft(prune(level0, 0)) { (frontier, i) =>

@@ -25,7 +25,7 @@ object LowerBounds {
       simPos: Array[Array[Double]],
       start: Int,
       thr0: Double,
-      metrics: SearchMetrics = new SearchMetrics,
+      metrics: SearchMetrics,
   ): (Array[Double], Array[Double], Array[Array[Int]]) = {
     val k = simPos.length
     val legS = Array.fill(k)(0.0)

@@ -102,10 +102,6 @@ object Skyline {
   /** `a` dominates or is equivalent to `b` (both scores no worse). */
   def dominatesOrEquiv(aL: Double, aS: Double, bL: Double, bS: Double): Boolean =
     aL <= bL && aS <= bS
-
-  /** Strict dominance: no worse in both, strictly better in at least one. */
-  def dominates(aL: Double, aS: Double, bL: Double, bS: Double): Boolean =
-    dominatesOrEquiv(aL, aS, bL, bS) && (aL < bL || aS < bS)
 }
 
 /** The evolving minimal set `S` of sequenced routes (Def. 4.2), kept sorted

@@ -4,9 +4,8 @@ import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
 /** The three evaluation datasets of the paper's Table 5, scaled down
-  * (~1/100 for Tokyo/NYC, ~1/10 for Cal — see DESIGN.md §5), plus small
-  * fixtures for unit tests. All are cached per JVM; generation is
-  * deterministic.
+  * (~1/100 for Tokyo/NYC, ~1/10 for Cal — see DESIGN.md §5). All are cached
+  * per JVM; generation is deterministic.
   */
 object Datasets {
 
@@ -38,17 +37,4 @@ object Datasets {
     ("NYC", nycLite, CategoryForest.foursquareLike),
     ("Cal", calLite, calForest),
   )
-
-  /** Small fixture for unit/oracle tests (~seconds of exhaustive search). */
-  lazy val testSmall: RoadGraph = RoadNetData.generate(RoadNetSpec(
-    nRoadVertices = 300, nPois = 120,
-    roadEdgeFactor = 1.15, forest = CategoryForest.foursquareLike,
-    poiConnectors = 2, extent = 0.05, zipfAlpha = 0.7, seed = 7L))
-
-  /** Parameterized tiny graph for randomized cross-implementation tests. */
-  def tiny(seed: Long, nRoad: Int = 120, nPois: Int = 60): RoadGraph =
-    RoadNetData.generate(RoadNetSpec(
-      nRoadVertices = nRoad, nPois = nPois,
-      roadEdgeFactor = 1.2, forest = CategoryForest.foursquareLike,
-      poiConnectors = 2, extent = 0.03, zipfAlpha = 0.6, seed = seed))
 }

@@ -32,7 +32,6 @@ object PaperExample {
 
   val vq = 0
   // p1..p13 are vertices 1..13
-  def p(i: Int): Int = i
 
   lazy val graph: RoadGraph = {
     val asian   = forest.idOf("Asian restaurant")
@@ -67,16 +66,4 @@ object PaperExample {
     forest.idOf("A&E"),
     forest.idOf("Gift shop"),
   ))
-
-  /** Expected final skyline, as (pois, length, semScore). */
-  val expectedSkyline: Seq[(Vector[Int], Double, Double)] = Seq(
-    (Vector(6, 9, 8), 12.6, 0.5),   // ⟨p6, p9, p8⟩
-    (Vector(10, 12, 13), 13.0, 0.0), // ⟨p10, p12, p13⟩
-  )
-
-  /** Expected NNinit seeds, in discovery order. */
-  val expectedInitRoutes: Seq[(Vector[Int], Double, Double)] = Seq(
-    (Vector(2, 5, 7), 14.5, 0.5), // ⟨p2, p5, p7⟩
-    (Vector(2, 5, 8), 15.0, 0.0), // ⟨p2, p5, p8⟩
-  )
 }

@@ -20,10 +20,10 @@ final case class RoadNetSpec(
     nPois: Int,
     roadEdgeFactor: Double, // road edges ≈ factor × vertices (≥ spanning tree)
     forest: CategoryForest,
-    poiConnectors: Int = 2, // 2: PoI reachable from both edge endpoints; 1: spur
-    extent: Double = 0.25,  // degrees spanned by the map
-    zipfAlpha: Double = 0.9,
-    seed: Long = 42L,
+    poiConnectors: Int, // 2: PoI reachable from both edge endpoints; 1: spur
+    extent: Double,     // degrees spanned by the map
+    zipfAlpha: Double,
+    seed: Long,
 )
 
 object RoadNetData {

@@ -86,8 +86,8 @@ object Dijkstra {
       g: RoadGraph,
       sources: Array[Int],
       sim: Int => Double,
-      bound: Double = Inf,
-      metrics: SearchMetrics = new SearchMetrics,
+      bound: Double,
+      metrics: SearchMetrics,
   ): (Double, Double) = {
     if (sources.isEmpty) return (Inf, Inf)
     var ls = Inf
@@ -173,7 +173,7 @@ final class NearestNeighborSearch(
     g: RoadGraph,
     val source: Int,
     matches: Int => Boolean,
-    metrics: SearchMetrics = new SearchMetrics,
+    metrics: SearchMetrics,
 ) {
   // Sparse state: an incremental NN search usually touches a small ball
   // around its source, so O(touched) maps beat O(|V|) arrays — and make the

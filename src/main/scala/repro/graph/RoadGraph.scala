@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Road network with embedded PoI vertices, in CSR form. Built undirected by
   * `fromEdges` (each edge mirrored, the paper's §7 setting) or directed by
   * `fromDirectedEdges` (the §6 "directed graphs" variation — every search in
@@ -26,8 +24,6 @@ final class RoadGraph(
 
   require(adjIndex.length == numVertices + 1, "bad CSR index length")
   require(poiCategory.length == numVertices, "bad poiCategory length")
-
-  def degree(v: Int): Int = adjIndex(v + 1) - adjIndex(v)
 
   def isPoi(v: Int): Boolean = poiCategory(v) >= 0
 
@@ -127,24 +123,5 @@ object RoadGraph {
     val aw  = new Array[Double](idx(n))
     arcs { (u, v, w) => av(pos(u)) = v; aw(pos(u)) = w; pos(u) += 1 }
     new RoadGraph(n, idx, av, aw, cat)
-  }
-
-  /** Connectivity check (tests + generator invariant). */
-  def isConnected(g: RoadGraph): Boolean = {
-    if (g.numVertices == 0) return true
-    val seen  = new Array[Boolean](g.numVertices)
-    val stack = mutable.ArrayDeque(0)
-    seen(0) = true
-    var count = 1
-    while (stack.nonEmpty) {
-      val u = stack.removeLast()
-      var i = g.adjIndex(u)
-      while (i < g.adjIndex(u + 1)) {
-        val v = g.adjVertex(i)
-        if (!seen(v)) { seen(v) = true; count += 1; stack.append(v) }
-        i += 1
-      }
-    }
-    count == g.numVertices
   }
 }

@@ -54,14 +54,6 @@ final class CategoryForest private (
   def isLeaf(c: Int): Boolean  = childrenOf(c).isEmpty
   def sameTree(a: Int, b: Int): Boolean = treeOf(a) == treeOf(b)
 
-  /** Ancestors of `c` from `c` up to (and including) its root. */
-  def ancestorsOf(c: Int): List[Int] = {
-    var cur = c
-    val b   = List.newBuilder[Int]
-    while (cur >= 0) { b += cur; cur = parent(cur) }
-    b.result()
-  }
-
   /** Deepest common ancestor, or -1 if the categories live in different trees. */
   def lca(a: Int, b: Int): Int = {
     if (!sameTree(a, b)) -1
@@ -86,8 +78,6 @@ final class CategoryForest private (
   lazy val nonRoots: Array[Int] = categories.filter(!isRoot(_)).toArray
 
   lazy val leaves: Array[Int] = categories.filter(isLeaf).toArray
-
-  lazy val roots: Array[Int] = categories.filter(isRoot).toArray
 
   def nameOf(c: Int): String = names(c)
   def idOf(name: String): Int = {

@@ -1,7 +1,7 @@
 package repro
 
 import repro.core.{Bssr, BulkSkySRSpark, Query}
-import repro.data.{Datasets, PaperExample, Workload}
+import repro.data.{PaperExample, Workload}
 import repro.graph.{Dijkstra, RoadGraph}
 import repro.semantics.CategoryForest
 
@@ -78,7 +78,7 @@ class OracleSkylineSpec extends SparkSpec {
 
   for (seed <- 1L to 3L) {
     test(s"DuckDB SQL skyline == Spark pipeline on a random tiny graph (seed $seed)") {
-      val g = Datasets.tiny(seed, nRoad = 60, nPois = 25)
+      val g = TestUtil.tiny(seed, nRoad = 60, nPois = 25)
       val forest = CategoryForest.foursquareLike
       val q = Workload.queries(g, forest, 1, 2, seed * 5, minPois = 1).head
       check(g, forest, q)
@@ -86,7 +86,7 @@ class OracleSkylineSpec extends SparkSpec {
   }
 
   test("DuckDB SQL skyline == Spark pipeline, |Sq| = 3") {
-    val g = Datasets.tiny(11, nRoad = 60, nPois = 25)
+    val g = TestUtil.tiny(11, nRoad = 60, nPois = 25)
     val forest = CategoryForest.foursquareLike
     val q = Workload.queries(g, forest, 1, 3, 44L, minPois = 1).head
     check(g, forest, q)

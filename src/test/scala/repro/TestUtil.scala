@@ -1,25 +1,42 @@
 package repro
 
-import repro.core.SRoute
+import repro.baselines.IterativeOsr
+import repro.core.{PositionSpec, Query, SRoute}
+import repro.data.{RoadNetData, RoadNetSpec}
+import repro.graph.RoadGraph
+import repro.semantics.CategoryForest
 
 object TestUtil {
 
-  /** `Datasets.tiny(seed, nRoad, nPois)` with every weight mapped to an
+  /** Small fixture for unit/oracle tests (~seconds of exhaustive search). */
+  lazy val testSmall: RoadGraph = RoadNetData.generate(RoadNetSpec(
+    nRoadVertices = 300, nPois = 120,
+    roadEdgeFactor = 1.15, forest = CategoryForest.foursquareLike,
+    poiConnectors = 2, extent = 0.05, zipfAlpha = 0.7, seed = 7L))
+
+  /** Parameterized tiny graph for randomized cross-implementation tests. */
+  def tiny(seed: Long, nRoad: Int = 120, nPois: Int = 60): RoadGraph =
+    RoadNetData.generate(RoadNetSpec(
+      nRoadVertices = nRoad, nPois = nPois,
+      roadEdgeFactor = 1.2, forest = CategoryForest.foursquareLike,
+      poiConnectors = 2, extent = 0.03, zipfAlpha = 0.6, seed = seed))
+
+  /** `tiny(seed, nRoad, nPois)` with every weight mapped to an
     * integer in 0..2 (both arcs of an edge alike): zero-weight arcs and many
     * equal-length paths, so searches meet ties in distance at every step.
     */
   def tieGraph(seed: Long, nRoad: Int = 120, nPois: Int = 60): repro.graph.RoadGraph = {
-    val g = repro.data.Datasets.tiny(seed, nRoad, nPois)
+    val g = tiny(seed, nRoad, nPois)
     new repro.graph.RoadGraph(g.numVertices, g.adjIndex, g.adjVertex,
       g.adjWeight.map(w => ((w * 1e6).toLong % 3).toDouble), g.poiCategory)
   }
 
-  /** Directed variant of `Datasets.tiny(seed, 80, 40)`: each undirected edge
+  /** Directed variant of `tiny(seed, 80, 40)`: each undirected edge
     * becomes two arcs with asymmetric weights (forward w, backward 1.3·w) —
     * strongly connected, but with genuinely directional distances.
     */
   def directedGraph(seed: Long): repro.graph.RoadGraph = {
-    val g = repro.data.Datasets.tiny(seed, nRoad = 80, nPois = 40)
+    val g = tiny(seed, nRoad = 80, nPois = 40)
     val arcs = for {
       u <- 0 until g.numVertices
       i <- g.adjIndex(u) until g.adjIndex(u + 1)
@@ -29,6 +46,14 @@ object TestUtil {
       arc <- Seq((u, v, w), (v, u, 1.3 * w))
     } yield arc
     repro.graph.RoadGraph.fromDirectedEdges(g.numVertices, arcs, g.poiCategory)
+  }
+
+  /** The number of OSR runs `IterativeOsr.skySR` makes for `query`: the
+    * product of its positions' similarity-level counts.
+    */
+  def comboCount(g: RoadGraph, forest: CategoryForest, query: Query): Long = {
+    val simTables = query.specs.toArray.map(PositionSpec.simTable(forest, _))
+    IterativeOsr.simLevels(g, simTables).map(_.length.toLong).product
   }
 
   /** Two skylines agree iff they have the same (length, semScore) points in

@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.{PositionSpec, Query}
-import repro.data.{Datasets, Workload}
+import repro.data.Workload
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -24,7 +24,7 @@ class OsrSpec extends AnyFunSuite {
     cache.getOrElseUpdate((seed, ties), {
       val g =
         if (ties) TestUtil.tieGraph(seed, nRoad = 80, nPois = 40)
-        else Datasets.tiny(seed, nRoad = 80, nPois = 40)
+        else TestUtil.tiny(seed, nRoad = 80, nPois = 40)
       (g, Exhaustive.allPairs(g))
     })
 
@@ -59,8 +59,8 @@ class OsrSpec extends AnyFunSuite {
         val m   = new BaselineMetrics
         val ts  = tablesFor(q, mins)
         val got =
-          if (useDij) OsrDijkstra.osr(g, q.start, ts, m)
-          else OsrPne.osr(g, q.start, ts, m)
+          if (useDij) OsrDijkstra.osr(g, q.start, ts, m, Long.MaxValue)
+          else OsrPne.osr(g, q.start, ts, m, Long.MaxValue)
         val want = bruteOsr(g, d, q, mins)
         (got, want) match {
           case (Some(r), Some(l)) =>
@@ -92,7 +92,7 @@ class OsrSpec extends AnyFunSuite {
       assert(!m.aborted)
       TestUtil.assertSameSkyline(s"$name $input", got, truth, tol)
       TestUtil.assertRouteScores(g, forest, q, got, tol)
-      assert(m.osrRuns == IterativeOsr.comboCount(g, forest, q))
+      assert(m.osrRuns == TestUtil.comboCount(g, forest, q))
     }
   }
 
@@ -114,20 +114,20 @@ class OsrSpec extends AnyFunSuite {
     val (g, _) = graphFor(1)
     val q = Workload.queries(g, forest, 1, 3, 3L, minPois = 1).head
     val levels = simLevels(g, q)
-    assert(IterativeOsr.comboCount(g, forest, q) == levels.map(_.length.toLong).product)
+    assert(TestUtil.comboCount(g, forest, q) == levels.map(_.length.toLong).product)
     levels.foreach(ls => assert(ls.nonEmpty && ls.head == 1.0))
   }
 
   test("combo count grows exponentially with |Sq| (the naive blow-up of §4)") {
     val (g, _) = graphFor(2)
     // fix one category with >= 2 similarity levels and grow the sequence
-    val c = forest.leaves.find(c => IterativeOsr.comboCount(g, forest, Query(0, Vector(c))) >= 2).get
-    val counts = (2 to 4).map(len => IterativeOsr.comboCount(g, forest, Query(0, Vector.fill(len)(c))))
+    val c = forest.leaves.find(c => TestUtil.comboCount(g, forest, Query(0, Vector(c))) >= 2).get
+    val counts = (2 to 4).map(len => TestUtil.comboCount(g, forest, Query(0, Vector.fill(len)(c))))
     assert(counts(0) < counts(1) && counts(1) < counts(2))
   }
 
   test("budget cap aborts the iterated OSR") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 3L, minPois = 3).head
     val m = new BaselineMetrics
     IterativeOsr.skySR(g, forest, q, useDij = true, m, maxSettled = 50)
@@ -135,7 +135,7 @@ class OsrSpec extends AnyFunSuite {
   }
 
   test("Dij stores routes in its queue: peak queue far larger than PNE's (Table 6 shape)") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 21L, minPois = 3).head
     val md = new BaselineMetrics
     val mp = new BaselineMetrics

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.baselines.Exhaustive
-import repro.data.{Datasets, Workload}
+import repro.data.Workload
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
@@ -20,7 +20,7 @@ class BssrSpec extends AnyFunSuite {
   private val graphCache = mutable.Map.empty[Long, (RoadGraph, Array[Array[Double]])]
   private def graphFor(seed: Long): (RoadGraph, Array[Array[Double]]) =
     graphCache.getOrElseUpdate(seed, {
-      val g = Datasets.tiny(seed)
+      val g = TestUtil.tiny(seed)
       (g, Exhaustive.allPairs(g))
     })
 
@@ -110,7 +110,7 @@ class BssrSpec extends AnyFunSuite {
   }
 
   test("optimizations reduce work: settled vertices with opts <= 2x without, typically far less") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 99L, minPois = 3).head
     val withOpt = new Bssr(g, forest, BssrOptions.all).run(q).metrics
     val without = new Bssr(g, forest, BssrOptions.none).run(q).metrics
@@ -119,14 +119,14 @@ class BssrSpec extends AnyFunSuite {
   }
 
   test("budget cap marks the run aborted") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 7L, minPois = 3).head
     val res = new Bssr(g, forest, BssrOptions(useInit = false, maxSettled = 10)).run(q)
     assert(res.metrics.aborted)
   }
 
   test("metrics: init ratio <= 1, runs/settles positive, peak queue tracked") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 42L, minPois = 3).head
     val m = new Bssr(g, forest).run(q).metrics
     assert(m.initRatio <= 1.0 + 1e-12)
@@ -140,7 +140,7 @@ class BssrSpec extends AnyFunSuite {
   }
 
   test("deterministic: two runs produce identical skylines and counters") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 5L, minPois = 3).head
     val a = new Bssr(g, forest).run(q)
     val b = new Bssr(g, forest).run(q)
@@ -150,7 +150,7 @@ class BssrSpec extends AnyFunSuite {
   }
 
   test("on-the-fly cache changes no results but saves Dijkstra executions (Fig. 5 shape)") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     var hits = 0L
     for (q <- Workload.queries(g, forest, 5, 4, 17L, minPois = 3)) {
       val withC = new Bssr(g, forest, BssrOptions.all).run(q)

@@ -11,6 +11,7 @@ import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.Exhaustive
 import repro.data.{Datasets, PaperExample, Workload}
+import repro.graph.SearchMetrics
 import repro.semantics.CategoryForest
 
 /** The distributed DataFrame pipeline must be exactly the sequential BSSR. */
@@ -25,12 +26,13 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   // With integer weights (`ties`, `TestUtil.tieGraph`) every length is exact
-  // and equal-length routes abound: the points are compared bit for bit,
-  // which checks the pipeline's `< l0` / `<= l0` prunes on exact ties.
+  // and equal-length routes abound: the points are compared bit for bit.
+  // The pipeline keeps a route only while it can finish shorter than L0, so
+  // a perfect point of length L0 must be NNinit's perfect seed itself.
   for ((ties, seed) <- (1L to 4L).map(false -> _) ++ (1L to 2L).map(true -> _); len <- 2 to 3) {
     val input = if (ties) s"ties, seed=$seed" else s"seed=$seed"
     test(s"Spark pipeline == exhaustive == BSSR ($input, |Sq|=$len)") {
-      val g = if (ties) TestUtil.tieGraph(seed) else Datasets.tiny(seed)
+      val g = if (ties) TestUtil.tieGraph(seed) else TestUtil.tiny(seed)
       val q = Workload.queries(g, forest, 1, len, seed * 31 + len, minPois = 1).head
       val truth = Exhaustive.skySR(g, forest, q)
       val bssr  = new Bssr(g, forest).run(q).skyline
@@ -39,11 +41,15 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       TestUtil.assertSameSkyline(s"spark-vs-truth $input", dist, truth, tol)
       TestUtil.assertSameSkyline(s"spark-vs-bssr $input", dist, bssr, tol)
       TestUtil.assertRouteScores(g, forest, q, dist, tol)
+      val plan = QueryPlan(g, forest, q.start, q.specs, q.destination, BssrOptions.all, new SearchMetrics)
+      dist.find(r => r.semScore == 0.0 && r.length == plan.l0).foreach { r =>
+        assert(plan.seeds.contains(r), s"$input: perfect route $r at L0 is not a seed of ${plan.seeds}")
+      }
     }
   }
 
   test("Spark pipeline handles |Sq| = 1") {
-    val g = Datasets.tiny(9)
+    val g = TestUtil.tiny(9)
     val q = Workload.queries(g, forest, 1, 1, 17L, minPois = 1).head
     TestUtil.assertSameSkyline("len1",
       BulkSkySRSpark.run(spark, g, forest, q),
@@ -51,7 +57,7 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("Spark pipeline on the small dataset matches BSSR for a |Sq|=4 query") {
-    val g = Datasets.testSmall
+    val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 4, 23L, minPois = 3).head
     TestUtil.assertSameSkyline("small-4",
       BulkSkySRSpark.run(spark, g, forest, q),
@@ -59,7 +65,7 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("Spark pipeline is exact for repeated/same-tree categories (used-set states)") {
-    val g = Datasets.tiny(14)
+    val g = TestUtil.tiny(14)
     val leaves = forest.leaves.filter(c => g.poisByCategory.contains(c))
     val q = repro.core.Query(0, Vector(leaves.head, leaves.head, leaves.head))
     TestUtil.assertSameSkyline("same-tree",
@@ -68,7 +74,7 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("Spark pipeline supports the §6 destination variation") {
-    val g = Datasets.tiny(8)
+    val g = TestUtil.tiny(8)
     val q = Workload.queries(g, forest, 1, 2, 29L, minPois = 1).head
       .copy(destination = Some(3))
     TestUtil.assertSameSkyline("spark-dest",
@@ -93,7 +99,7 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   // No PoI carries a root category, so no route matches a root position
   // perfectly: NNinit finds no perfect route and L0 = +∞.
   test("Spark pipeline == exhaustive == BSSR when no perfect route exists (L0 = +∞)") {
-    val g    = Datasets.tiny(5)
+    val g    = TestUtil.tiny(5)
     val root = forest.idOf("Food")
     val leaf = Workload.eligibleCategories(g, forest, 1).find(!forest.sameTree(_, root)).get
     for (cats <- Seq(Vector(root, leaf), Vector(leaf, root), Vector(root))) {
@@ -190,7 +196,7 @@ class BulkSkySRSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   // distances: no query plan embeds a driver-built relation, and the cached
   // PoI graph is computed without an exchange.
   test("the pipeline's plans hold no local relation and its cached PoI graph no exchange") {
-    val g = Datasets.tiny(1)
+    val g = TestUtil.tiny(1)
     val q = Workload.queries(g, forest, 1, 3, 34L, minPois = 1).head
     val plans  = executedPlans(BulkSkySRSpark.run(spark, g, forest, q))
     val cached = plans.flatMap(p => collect(p) { case s: InMemoryTableScanExec => s.relation.cachedPlan })

@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestUtil}
 import repro.baselines.{BaselineMetrics, IterativeOsr}
-import repro.data.{Datasets, Workload}
+import repro.data.Workload
 import repro.semantics.CategoryForest
 import repro.spark.DistributedQueryRunner
 
@@ -18,7 +18,7 @@ import repro.spark.DistributedQueryRunner
 class InputValidationSpec extends SparkSpec {
 
   private val forest = CategoryForest.foursquareLike
-  private val g      = Datasets.tiny(1)
+  private val g      = TestUtil.tiny(1)
   private val q      = Workload.queries(g, forest, 1, 2, 5L, minPois = 1).head
 
   private val badStart = g.numVertices + 5
@@ -70,6 +70,6 @@ class InputValidationSpec extends SparkSpec {
 
   test("Bssr.runSpecs rejects an out-of-range negated category id") {
     val specs = Vector(PositionSpec(Vector(q.categories.head), noneOf = Set(badCat)))
-    assertRejects(q, badCat, _ => new Bssr(g, forest).runSpecs(q.start, specs))
+    assertRejects(q, badCat, _ => new Bssr(g, forest).runSpecs(q.start, specs, None))
   }
 }

@@ -3,8 +3,10 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.baselines.{BaselineMetrics, Exhaustive, IterativeOsr}
-import repro.data.PaperExample.{forest, graph, query, expectedInitRoutes, expectedSkyline}
+import repro.data.PaperExample.{forest, graph, query}
 import repro.graph.SearchMetrics
+
+import PaperExampleSpec.{expectedInitRoutes, expectedSkyline}
 
 /** End-to-end reproduction of the paper's worked example (Fig. 1, Examples
   * 1.1 / 5.6 / 5.10, Table 4): NNinit's seeds, the possible minimum
@@ -32,7 +34,7 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("Example 5.10: semantic-match minimum distances l_s = (2, 1) via p6→p9 and p12→p13") {
-    val (legS, _, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
+    val (legS, _, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0, new SearchMetrics)
     assert(legS.slice(1, 3).toSeq == Seq(2.0, 1.0))
   }
 
@@ -41,7 +43,7 @@ class PaperExampleSpec extends AnyFunSuite {
     // position i+1. The example's A&E tree is a single node, so every A&E
     // PoI is a perfect match and l_p coincides with l_s here — the paper's
     // prose states (3, 1) for its unpublished weights (see EXPERIMENTS.md).
-    val (legS, legP, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0)
+    val (legS, legP, _) = LowerBounds.legsTables(graph, simPos, query.start, 15.0, new SearchMetrics)
     assert(legP.slice(1, 3).toSeq == Seq(2.0, 1.0))
     (1 to 2).foreach(i => assert(legP(i) >= legS(i)))
   }
@@ -124,6 +126,21 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("naive enumeration cost: 2×1×2 similarity-level combinations") {
-    assert(IterativeOsr.comboCount(graph, forest, query) == 4L)
+    assert(TestUtil.comboCount(graph, forest, query) == 4L)
   }
+}
+
+object PaperExampleSpec {
+
+  /** Expected final skyline, as (pois, length, semScore). */
+  val expectedSkyline: Seq[(Vector[Int], Double, Double)] = Seq(
+    (Vector(6, 9, 8), 12.6, 0.5),   // ⟨p6, p9, p8⟩
+    (Vector(10, 12, 13), 13.0, 0.0), // ⟨p10, p12, p13⟩
+  )
+
+  /** Expected NNinit seeds, in discovery order. */
+  val expectedInitRoutes: Seq[(Vector[Int], Double, Double)] = Seq(
+    (Vector(2, 5, 7), 14.5, 0.5), // ⟨p2, p5, p7⟩
+    (Vector(2, 5, 8), 15.0, 0.0), // ⟨p2, p5, p8⟩
+  )
 }

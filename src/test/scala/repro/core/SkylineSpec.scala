@@ -6,10 +6,14 @@ import scala.util.Random
 
 class SkylineSpec extends AnyFunSuite {
 
+  /** Strict dominance: no worse in both, strictly better in at least one. */
+  private def dominates(aL: Double, aS: Double, bL: Double, bS: Double): Boolean =
+    Skyline.dominatesOrEquiv(aL, aS, bL, bS) && (aL < bL || aS < bS)
+
   private def naiveSkyline(rs: Seq[SRoute]): Set[(Double, Double)] = {
     val pts = rs.map(r => (r.length, r.semScore))
     pts.filter { p =>
-      !pts.exists(q => Skyline.dominates(q._1, q._2, p._1, p._2))
+      !pts.exists(q => dominates(q._1, q._2, p._1, p._2))
     }.toSet
   }
 
@@ -18,10 +22,10 @@ class SkylineSpec extends AnyFunSuite {
       (rnd.nextInt(20) + 1).toDouble, 1.0 - rnd.nextInt(5) * 0.25))
 
   test("dominance: strict in at least one dimension") {
-    assert(Skyline.dominates(1, 1, 2, 1))
-    assert(Skyline.dominates(1, 1, 1, 2))
-    assert(!Skyline.dominates(1, 1, 1, 1)) // equivalence is not dominance
-    assert(!Skyline.dominates(2, 0, 1, 1))
+    assert(dominates(1, 1, 2, 1))
+    assert(dominates(1, 1, 1, 2))
+    assert(!dominates(1, 1, 1, 1)) // equivalence is not dominance
+    assert(!dominates(2, 0, 1, 1))
     assert(Skyline.dominatesOrEquiv(1, 1, 1, 1))
   }
 

@@ -4,12 +4,36 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.RoadGraph
 import repro.semantics.CategoryForest
 
+import scala.collection.mutable
+
 class RoadNetDataSpec extends AnyFunSuite {
 
   private val spec = RoadNetSpec(
     nRoadVertices = 200, nPois = 80, roadEdgeFactor = 1.15,
-    forest = CategoryForest.foursquareLike, seed = 5L)
+    forest = CategoryForest.foursquareLike,
+    poiConnectors = 2, extent = 0.25, zipfAlpha = 0.9, seed = 5L)
   private lazy val g = RoadNetData.generate(spec)
+
+  private def degree(g: RoadGraph, v: Int): Int = g.adjIndex(v + 1) - g.adjIndex(v)
+
+  /** Every vertex is reachable from vertex 0 along the CSR arcs. */
+  private def isConnected(g: RoadGraph): Boolean = {
+    if (g.numVertices == 0) return true
+    val seen  = new Array[Boolean](g.numVertices)
+    val stack = mutable.ArrayDeque(0)
+    seen(0) = true
+    var count = 1
+    while (stack.nonEmpty) {
+      val u = stack.removeLast()
+      var i = g.adjIndex(u)
+      while (i < g.adjIndex(u + 1)) {
+        val v = g.adjVertex(i)
+        if (!seen(v)) { seen(v) = true; count += 1; stack.append(v) }
+        i += 1
+      }
+    }
+    count == g.numVertices
+  }
 
   test("generation is deterministic in the spec") {
     val g2 = RoadNetData.generate(spec)
@@ -31,7 +55,7 @@ class RoadNetDataSpec extends AnyFunSuite {
   }
 
   test("the graph is connected") {
-    assert(RoadGraph.isConnected(g))
+    assert(isConnected(g))
   }
 
   test("edge weights are positive and finite") {
@@ -58,9 +82,9 @@ class RoadNetDataSpec extends AnyFunSuite {
   }
 
   test("PoIs with 2 connectors have degree 2; spur PoIs degree 1") {
-    for (v <- spec.nRoadVertices until g.numVertices) assert(g.degree(v) == 2)
+    for (v <- spec.nRoadVertices until g.numVertices) assert(degree(g, v) == 2)
     val spur = RoadNetData.generate(spec.copy(poiConnectors = 1, nRoadVertices = 100, nPois = 40))
-    for (v <- 100 until 140) assert(spur.degree(v) == 1)
+    for (v <- 100 until 140) assert(degree(spur, v) == 1)
   }
 
   test("category distribution is skewed (zipf): top category ≫ median") {
@@ -71,7 +95,7 @@ class RoadNetDataSpec extends AnyFunSuite {
   test("Datasets.tokyoLite/nycLite/calLite match DESIGN.md scale targets") {
     val t = Datasets.tokyoLite
     assert(t.numVertices == 4000 + 1700 && t.numPois == 1700)
-    assert(RoadGraph.isConnected(t))
+    assert(isConnected(t))
     val c = Datasets.calLite
     assert(c.numPois == 8700)
     assert(c.numPois > c.numVertices - c.numPois, "Cal is PoI-dense like the paper")
@@ -100,7 +124,7 @@ class RoadNetDataSpec extends AnyFunSuite {
 
   test("PaperExample graph is connected and categorized as in Fig. 1") {
     val pg = PaperExample.graph
-    assert(RoadGraph.isConnected(pg))
+    assert(isConnected(pg))
     assert(pg.numPois == 13)
     val f = PaperExample.forest
     assert(f.nameOf(pg.poiCategory(2)) == "Asian restaurant")

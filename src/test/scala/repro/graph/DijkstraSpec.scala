@@ -2,7 +2,6 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.data.Datasets
 
 import scala.util.Random
 
@@ -22,7 +21,7 @@ class DijkstraSpec extends AnyFunSuite {
     d
   }
 
-  private def smallGraph(seed: Long): RoadGraph = Datasets.tiny(seed, nRoad = 40, nPois = 20)
+  private def smallGraph(seed: Long): RoadGraph = TestUtil.tiny(seed, nRoad = 40, nPois = 20)
 
   // Integer weights in 0..2: zero-weight arcs and equal-length paths, where
   // a pop settles its vertex iff it carries the vertex's label.
@@ -66,7 +65,7 @@ class DijkstraSpec extends AnyFunSuite {
         .foldLeft(Double.PositiveInfinity)(math.min)
       def same(got: Double, want: Double) =
         math.abs(got - want) < 1e-9 || (got.isInfinity && want.isInfinity)
-      val (ls, lp) = Dijkstra.multiSourceMinDist(g, srcs, sim)
+      val (ls, lp) = Dijkstra.multiSourceMinDist(g, srcs, sim, Dijkstra.Inf, new SearchMetrics)
       assert(same(ls, brute(dests)), s"l_s = $ls")
       assert(same(lp, brute(perfect)), s"l_p = $lp")
     }
@@ -77,21 +76,21 @@ class DijkstraSpec extends AnyFunSuite {
   test("multiSourceMinDist excludes source==dest pairs even when sets overlap") {
     // path graph 0-1-2 with weights 1, 1; sources {0,1}, dests {1}
     val g = RoadGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array(-1, -1, -1))
-    val d = Dijkstra.multiSourceMinDist(g, Array(0, 1), oneTier(Set(1)))
+    val d = Dijkstra.multiSourceMinDist(g, Array(0, 1), oneTier(Set(1)), Dijkstra.Inf, new SearchMetrics)
     assert(d == ((1.0, 1.0))) // from 0, not the trivial 0.0 from 1 itself
   }
 
   test("multiSourceMinDist with overlapping sets picks the closest *other* source") {
     // 0 -5- 1 -2- 2 ; sources {1, 2}, dests {1}: best distinct pair is 2->1 = 2
     val g = RoadGraph.fromEdges(3, Seq((0, 1, 5.0), (1, 2, 2.0)), Array(-1, -1, -1))
-    assert(Dijkstra.multiSourceMinDist(g, Array(1, 2), oneTier(Set(1))) == ((2.0, 2.0)))
+    assert(Dijkstra.multiSourceMinDist(g, Array(1, 2), oneTier(Set(1)), Dijkstra.Inf, new SearchMetrics) == ((2.0, 2.0)))
   }
 
   test("multiSourceMinDist returns Inf when no destination is reachable") {
     val g = RoadGraph.fromEdges(2, Seq((0, 1, 1.0)), Array(-1, -1))
     val inf = Double.PositiveInfinity
-    assert(Dijkstra.multiSourceMinDist(g, Array(0), oneTier(Set.empty)) == ((inf, inf)))
-    assert(Dijkstra.multiSourceMinDist(g, Array.empty[Int], oneTier(Set(0, 1))) == ((inf, inf)))
+    assert(Dijkstra.multiSourceMinDist(g, Array(0), oneTier(Set.empty), inf, new SearchMetrics) == ((inf, inf)))
+    assert(Dijkstra.multiSourceMinDist(g, Array.empty[Int], oneTier(Set(0, 1)), inf, new SearchMetrics) == ((inf, inf)))
   }
 
   for (seed <- 1L to 6L) {
@@ -127,7 +126,7 @@ class DijkstraSpec extends AnyFunSuite {
 
   test("NearestNeighborSearch get is idempotent and rank-addressable") {
     val g   = smallGraph(3)
-    val nns = new NearestNeighborSearch(g, 0, g.isPoi)
+    val nns = new NearestNeighborSearch(g, 0, g.isPoi, new SearchMetrics)
     val a   = nns.get(4)
     val b   = nns.get(4)
     assert(a == b)

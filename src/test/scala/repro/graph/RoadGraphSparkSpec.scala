@@ -2,14 +2,13 @@ package repro.graph
 
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.Exchange
-import repro.SparkSpec
-import repro.data.Datasets
+import repro.{SparkSpec, TestUtil}
 
 /** The distributed PoI-graph builder. */
 class RoadGraphSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("PoiDistances matches driver-side Dijkstra") {
-    val g = Datasets.tiny(5)
+    val g = TestUtil.tiny(5)
     val sources = Seq(0, 3, 7)
     val cats = g.poisByCategory.keySet
     val collected = PoiDistances.build(spark, g, sources, cats, bound = Double.PositiveInfinity)
@@ -26,7 +25,7 @@ class RoadGraphSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("PoiDistances honors the distance bound and the category filter") {
-    val g = Datasets.tiny(6)
+    val g = TestUtil.tiny(6)
     val someCat = g.poisByCategory.keys.head
     val d0 = Dijkstra.fromSource(g, 0)
     val bound = g.pois.map(d0).sorted.apply(g.numPois / 2)
@@ -40,7 +39,7 @@ class RoadGraphSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("the PoI-graph build is one stage: the physical plan has no exchange") {
-    val g  = Datasets.tiny(5)
+    val g  = TestUtil.tiny(5)
     val df = PoiDistances.build(spark, g, Seq(0, 3, 7), g.poisByCategory.keySet,
       bound = Double.PositiveInfinity)
     val plan = df.queryExecution.executedPlan

@@ -2,9 +2,9 @@ package repro.spark
 
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.Exchange
-import repro.SparkSpec
+import repro.{SparkSpec, TestUtil}
 import repro.core.{Bssr, BssrOptions}
-import repro.data.{Datasets, Workload}
+import repro.data.Workload
 import repro.semantics.CategoryForest
 
 class DistributedQueryRunnerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
@@ -13,7 +13,7 @@ class DistributedQueryRunnerSpec extends SparkSpec with AdaptiveSparkPlanHelper 
   private val columns = Seq("queryId", "rank", "pois", "length", "semScore", "exact")
 
   test("batch runner returns exactly the sequential per-query skylines") {
-    val g  = Datasets.testSmall
+    val g  = TestUtil.testSmall
     val qs = Workload.queries(g, forest, 8, 3, 31L, minPois = 3)
     val df = DistributedQueryRunner.run(spark, g, forest, qs)
     val all  = df.collect()
@@ -35,7 +35,7 @@ class DistributedQueryRunnerSpec extends SparkSpec with AdaptiveSparkPlanHelper 
   }
 
   test("runner output schema and rank ordering") {
-    val g  = Datasets.testSmall
+    val g  = TestUtil.testSmall
     // more queries than partitions, so each partition answers several
     val n  = 3 * spark.sparkContext.defaultParallelism + 1
     val qs = Workload.queries(g, forest, n, 2, 5L, minPois = 3)
@@ -53,13 +53,13 @@ class DistributedQueryRunnerSpec extends SparkSpec with AdaptiveSparkPlanHelper 
   }
 
   test("an empty batch yields no rows under the same columns") {
-    val df = DistributedQueryRunner.run(spark, Datasets.testSmall, forest, Seq.empty)
+    val df = DistributedQueryRunner.run(spark, TestUtil.testSmall, forest, Seq.empty)
     assert(df.columns.toSeq == columns)
     assert(df.collect().isEmpty)
   }
 
   test("the job is one stage: the physical plan has no exchange") {
-    val g  = Datasets.testSmall
+    val g  = TestUtil.testSmall
     val qs = Workload.queries(g, forest, 4, 2, 5L, minPois = 3)
     val df = DistributedQueryRunner.run(spark, g, forest, qs)
     val plan = df.queryExecution.executedPlan
@@ -67,7 +67,7 @@ class DistributedQueryRunnerSpec extends SparkSpec with AdaptiveSparkPlanHelper 
   }
 
   test("budget-capped queries are flagged inexact") {
-    val g      = Datasets.testSmall
+    val g      = TestUtil.testSmall
     val qs     = Workload.queries(g, forest, 4, 3, 31L, minPois = 3)
     val capped = BssrOptions(maxSettled = 10)
     val rows   = DistributedQueryRunner.run(spark, g, forest, qs, capped).collect()
