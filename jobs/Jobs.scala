@@ -48,22 +48,29 @@ object TablesJob {
 }
 
 /** Batch SkySR serving: a whole workload answered as one Spark job
-  * (`args`: dataset [Tokyo|NYC|Cal], #queries, |Sq|).
+  * (`args`: dataset [Tokyo|NYC|Cal], #queries, |Sq|). The arguments are
+  * checked, and the queries drawn, before Spark starts.
   */
 object BatchQueriesJob {
   def main(args: Array[String]): Unit = {
     val dataset = args.headOption.getOrElse("Tokyo")
-    val n       = args.lift(1).map(_.toInt).getOrElse(20)
-    val len     = args.lift(2).map(_.toInt).getOrElse(3)
-    val spark   = JobSession.local("skysr-batch")
-    val (_, g, forest) = Datasets.all.find(_._1 == dataset)
-      .getOrElse(sys.error(s"unknown dataset $dataset"))
-    val qs = Workload.queries(g, forest, n, len, seed = 11L, minPois = 10)
-    val df   = DistributedQueryRunner.run(spark, g, forest, qs)
-    val rows = df.collect()
-    println(Tables.table(s"first 50 skyline routes of $dataset", df.columns.toSeq,
-      rows.take(50).map(_.toSeq.map(_.toString)).toSeq))
-    println(s"answered ${qs.size} queries; ${rows.length} skyline routes total")
-    spark.stop()
+    val (_, g, forest) = Datasets.all.find(_._1 == dataset).getOrElse(
+      throw new IllegalArgumentException(
+        s"unknown dataset '$dataset' (known: ${Datasets.all.map(_._1).mkString(" ")})"))
+    def positive(i: Int, what: String, default: Int): Int = {
+      val v = args.lift(i).fold(default)(_.toInt)
+      if (v < 1) throw new IllegalArgumentException(s"$what must be positive, got $v")
+      v
+    }
+    val qs = Workload.queries(g, forest, positive(1, "#queries", 20), positive(2, "|Sq|", 3),
+      seed = 11L, minPois = 10)
+    val spark = JobSession.local("skysr-batch")
+    try {
+      val df   = DistributedQueryRunner.run(spark, g, forest, qs)
+      val rows = df.collect()
+      println(Tables.table(s"first 50 skyline routes of $dataset", df.columns.toSeq,
+        rows.take(50).map(_.toSeq.map(_.toString)).toSeq))
+      println(s"answered ${qs.size} queries; ${rows.length} skyline routes total")
+    } finally spark.stop()
   }
 }

@@ -9,6 +9,9 @@
 #      (clamped to 2..8 GB);
 #   4. the benchmark's self-test passes (`python3 skybench/run.py --self-test`).
 #
+# Gates 1-3 run in one sbt invocation, which stops at the first failing
+# command.
+#
 # Usage, from anywhere in the checkout:
 #
 #     scripts/check.sh
@@ -22,19 +25,12 @@ cd "$(dirname "$0")/.."
 
 export COURSIER_MODE=offline
 export SBT_OPTS="${SBT_OPTS:--Dsbt.override.build.repos=true -Dsbt.repository.config=$HOME/.sbt/repositories -Dsbt.offline=true -Xmx4g}"
-sbt_batch() { timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true "$@"; }
-
-echo "== 1/4 Test/compile"
-sbt_batch Test/compile
-
-echo "== 2/4 bench/Test/compile"
-sbt_batch bench/Test/compile
-
-echo "== 3/4 tier-1 tests"
 SPARK_GRAFT_CPUS="$(env -u OMP_NUM_THREADS nproc)"
 SPARK_DRIVER_MEM="$(awk '/^MemTotal:/ {g = int($2 / 2097152)} END {print (g < 2 ? 2 : g > 8 ? 8 : g) "g"}' 2>/dev/null </proc/meminfo || echo 2g)"
 export SPARK_GRAFT_CPUS SPARK_DRIVER_MEM SPARK_LOCAL_DIRS=/tmp/spark-local
-sbt_batch "testOnly *"
+
+echo "== 1-3/4 Test/compile, bench/Test/compile, tier-1 tests"
+timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true Test/compile bench/Test/compile "testOnly *"
 
 echo "== 4/4 skybench self-test"
 python3 skybench/run.py --self-test

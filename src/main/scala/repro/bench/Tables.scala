@@ -49,26 +49,19 @@ object Tables {
     * exactly the paper's "Existing ... (regardless |Sq|)" row.
     */
   def table7(): (String, Seq[T7Row]) = {
-    val (lens, queriesPer, seed) = (2 to 5, 10, 7L)
-    // JIT warmup so the first timed NNinit cell is not dominated by compilation
-    for ((_, g, forest) <- Datasets.all; len <- lens) {
-      val bssr = new Bssr(g, forest)
-      Workload.queries(g, forest, 2, len, 999L, minPois = 10).foreach(bssr.run)
-    }
-    val rows = for {
-      (name, g, forest) <- Datasets.all
-      len <- lens
-    } yield {
-      val qs = Workload.queries(g, forest, queriesPer, len, seed + len, minPois = 10)
+    warmUp()
+    val rows = grid(2 to 5, 10, 7L).map { case (name, g, forest, len, qs) =>
       val bssr = new Bssr(g, forest)
       // NNinit time: the median of five answers; the other columns: the first.
-      val runs = qs.map(q => Vector.fill(5)(bssr.run(q).metrics))
-      val ms = runs.map(_.head)
+      val runs = qs.map(q => Vector.fill(5)(bssr.run(q)))
+      val ms = runs.map(_.head.metrics)
+      // Ratio: NNinit's least similar seed over its one perfect seed, of length l0.
+      val plans = runs.map(_.head.plan).filter(_.l0.isFinite)
       T7Row(name, len,
         avg(ms.map(_.firstSearchWeightSum)),
-        avg(runs.map(r => r.map(_.initTimeNanos).sorted.apply(r.size / 2).toDouble)) / 1e6,
+        avg(runs.map(r => r.map(_.metrics.initTimeNanos).sorted.apply(r.size / 2).toDouble)) / 1e6,
         avg(ms.map(_.initRoutes.toDouble)),
-        avg(ms.filter(m => !m.initRatio.isNaN).map(_.initRatio)),
+        avg(plans.map(p => p.seeds.maxBy(_.semScore).length / p.l0)),
         2.0 * g.totalWeight)
     }
     val txt = table(
@@ -87,14 +80,9 @@ object Tables {
     * conventional distance-based one.
     */
   def table8(): (String, Seq[T8Row]) = {
-    val (lens, queriesPer, seed) = (2 to 5, 6, 8L)
-    val rows = for {
-      (name, g, forest) <- Datasets.all
-      len <- lens
-    } yield {
-      val qs = Workload.queries(g, forest, queriesPer, len, seed + len, minPois = 10)
-      val prop = new Bssr(g, forest, BssrOptions.all.copy(maxSettled = 20_000_000L))
-      val dist = new Bssr(g, forest, BssrOptions(proposedQueue = false, maxSettled = 20_000_000L))
+    val rows = grid(2 to 5, 6, 8L).map { case (name, g, forest, len, qs) =>
+      val prop = new Bssr(g, forest, BssrOptions.all)
+      val dist = new Bssr(g, forest, BssrOptions(proposedQueue = false))
       val a = qs.map(q => prop.run(q).metrics.settled).sum / qs.size
       val b = qs.map(q => dist.run(q).metrics.settled).sum / qs.size
       T8Row(name, len, a, b)
@@ -117,12 +105,10 @@ object Tables {
     * BSSR's/PNE's — shows up in the `peak routes` column.
     */
   def table6(): (String, Seq[T6Row]) = {
-    val (queriesPer, seed, cap) = (2, 6L, 10_000_000L)
-    val rows = Datasets.all.flatMap { case (name, g, forest) =>
-      val qs     = Workload.queries(g, forest, queriesPer, 4, seed, minPois = 10)
+    val rows = grid(Seq(4), 2, 2L).flatMap { case (name, g, forest, _, qs) =>
       val gBytes = graphBytes(g)
       Algorithms.map { algo =>
-        val rs     = qs.map(run(algo, g, forest, _, cap))
+        val rs     = qs.map(run(algo, g, forest, _, Cap))
         val q      = rs.map(_.peakQueue).max
         val layers = if (algo == "Dij") 5L * g.numVertices else 0L
         T6Row(name, algo, gBytes, q,
@@ -159,21 +145,13 @@ object Tables {
     * (the paper's runs that "were not finished after a month").
     */
   def responseTime(): (String, Seq[RtRow]) = {
-    val (lens, queriesPer, seed, cap) = (2 to 5, 2, 3L, 10_000_000L)
-    // JIT warmup so the first measured cell is not dominated by compilation
-    locally {
-      val (_, g, forest) = Datasets.all.head
-      val q = Workload.queries(g, forest, 1, 2, 999L, minPois = 10).head
-      Algorithms.foreach(run(_, g, forest, q, 200000L))
-    }
+    warmUp()
     val rows = for {
-      (name, g, forest) <- Datasets.all
-      len <- lens
-      qs = Workload.queries(g, forest, queriesPer, len, seed + len, minPois = 10)
+      (name, g, forest, len, qs) <- grid(2 to 5, 2, 3L)
       // mirror the paper's missing bars: baselines only up to |Sq|=4
       algo <- if (len <= 4) Algorithms else Algorithms.filter(_.startsWith("BSSR"))
     } yield {
-      val rs = qs.map(run(algo, g, forest, _, cap))
+      val rs = qs.map(run(algo, g, forest, _, Cap))
       RtRow(name, len, algo, avg(rs.map(_.nanos.toDouble)) / 1e6,
         rs.exists(_.aborted), avg(rs.map(_.skySRs.toDouble)))
     }
@@ -185,9 +163,25 @@ object Tables {
     (txt, rows)
   }
 
-  // ----------------------------------------------- one algorithm's run --
+  // ------------------------------------- queries, warm-up, one algorithm --
+  /** The tables' queries: `n` per dataset and |Sq| `len`, drawn with seed `seed + len`. */
+  private def grid(lens: Seq[Int], n: Int, seed: Long)
+      : Seq[(String, RoadGraph, CategoryForest, Int, Vector[Query])] =
+    for ((name, g, forest) <- Datasets.all; len <- lens)
+      yield (name, g, forest, len, Workload.queries(g, forest, n, len, seed + len, minPois = 10))
+
+  /** JIT warm-up before a timed table: every algorithm on one |Sq| = 2 query
+    * per dataset, capped at 200k settled vertices.
+    */
+  private def warmUp(): Unit =
+    for ((_, g, forest, _, qs) <- grid(Seq(2), 1, 997L); algo <- Algorithms)
+      run(algo, g, forest, qs.head, 200_000L)
+
   /** The algorithms Table 6 and Fig. 3 compare. */
   private val Algorithms = Seq("BSSR", "BSSR w/o Opt", "PNE", "Dij")
+
+  /** Table 6's and Fig. 3's settled-vertex budget; Tables 7 and 8 run uncapped. */
+  private val Cap = 10_000_000L
 
   /** One answer: time, peak queued routes, peak live NN-search bytes (PNE's;
     * 0 for the others), budget flag and skyline size.

@@ -34,16 +34,14 @@ final class BssrMetrics {
   var routesDequeued: Long = 0L
   var initTimeNanos: Long  = 0L          // Table 7 "response time" of NNinit
   var initRoutes: Int      = 0           // Table 7 "# of routes"
-  var initRatio: Double    = Double.NaN  // Table 7 "ratio"
   var totalTimeNanos: Long = 0L
   var aborted: Boolean     = false       // budget cap hit — result inexact
-  var legS: Array[Double]  = Array.empty // possible minimum distances (Def. 5.7)
-  var legP: Array[Double]  = Array.empty
 
   def settled: Long = search.settled
 }
 
-final case class BssrResult(skyline: Vector[SRoute], metrics: BssrMetrics)
+/** An answer, what its search counted, and the `QueryPlan` it ran on. */
+final case class BssrResult(skyline: Vector[SRoute], metrics: BssrMetrics, plan: QueryPlan)
 
 /** The bulk SkySR algorithm (paper §5): a branch-and-bound search that grows
   * all candidate sequenced routes simultaneously, expanding the best queued
@@ -99,11 +97,6 @@ final class Bssr(
     plan.seeds.foreach(sky.update)
     metrics.initTimeNanos = plan.initNanos
     metrics.initRoutes = plan.seeds.size
-    val perfect = plan.seeds.filter(_.semScore == 0.0)
-    if (perfect.nonEmpty)
-      metrics.initRatio = plan.seeds.maxBy(_.semScore).length / perfect.head.length
-    metrics.legS = plan.legS.slice(1, k)
-    metrics.legP = plan.legP.slice(1, k)
 
     // ---- pruning (Lemma 5.3 via Def. 5.4; Lemma 5.8 when bounds are on) --
     def shouldPrune(r: SRoute): Boolean = {
@@ -257,7 +250,7 @@ final class Bssr(
     }
 
     metrics.totalTimeNanos = System.nanoTime() - t0
-    BssrResult(sky.all, metrics)
+    BssrResult(sky.all, metrics, plan)
   }
 }
 

@@ -5,9 +5,10 @@ import scala.collection.mutable
 /** A semantic hierarchy of PoI categories — a forest of rooted trees
   * ("category trees" in the paper, Fig. 2).
   *
-  * Categories are dense ids `0 until size`. `parent(c) == -1` marks a tree
-  * root. Depth of a root is 1 (so Wu–Palmer similarity is strictly positive
-  * within a tree and exactly 1 only for identical categories).
+  * Categories are dense ids `0 until size`, each after its parent
+  * (`parent(c) < c`). `parent(c) == -1` marks a tree root. Depth of a root
+  * is 1 (so Wu–Palmer similarity is strictly positive within a tree and
+  * exactly 1 only for identical categories).
   *
   * The paper's Eq. (6) — `max_{ci ∈ a(c')} 2·d(cm)/(d(c)+d(c'))` — reduces to
   * the standard Wu–Palmer measure `2·d(lca(c,c'))/(d(c)+d(c'))` because the
@@ -23,23 +24,14 @@ final class CategoryForest private (
   /** Depth of each category; roots have depth 1. */
   val depth: Array[Int] = {
     val d = new Array[Int](size)
-    def fill(c: Int): Int = {
-      if (d(c) == 0) d(c) = if (parent(c) < 0) 1 else fill(parent(c)) + 1
-      d(c)
-    }
-    (0 until size).foreach(fill)
+    for (c <- 0 until size) d(c) = if (parent(c) < 0) 1 else d(parent(c)) + 1
     d
   }
 
   /** Root (tree id) of each category. */
   val treeOf: Array[Int] = {
     val t = new Array[Int](size)
-    java.util.Arrays.fill(t, -1)
-    def fill(c: Int): Int = {
-      if (t(c) < 0) t(c) = if (parent(c) < 0) c else fill(parent(c))
-      t(c)
-    }
-    (0 until size).foreach(fill)
+    for (c <- 0 until size) t(c) = if (parent(c) < 0) c else t(parent(c))
     t
   }
 
@@ -89,8 +81,11 @@ final class CategoryForest private (
 
 object CategoryForest {
 
+  /** Build from parent ids; each parent is -1 (a root) or an earlier id. */
   def fromParents(parent: Array[Int], names: Array[String]): CategoryForest = {
     require(parent.length == names.length, "parent/names length mismatch")
+    for (c <- parent.indices) require(parent(c) >= -1 && parent(c) < c,
+      s"category ${names(c)} (id $c): parent ${parent(c)} is neither -1 nor an earlier id")
     new CategoryForest(parent.clone(), names.clone())
   }
 
@@ -99,7 +94,10 @@ object CategoryForest {
     val names = entries.map(_._1).toArray
     require(names.distinct.length == names.length, "duplicate category names")
     val idx = names.zipWithIndex.toMap
-    val parent = entries.map { case (_, p) => if (p.isEmpty) -1 else idx(p) }.toArray
+    val parent = entries.map { case (n, p) =>
+      if (p.isEmpty) -1
+      else idx.getOrElse(p, throw new IllegalArgumentException(s"category $n: unknown parent $p"))
+    }.toArray
     fromParents(parent, names)
   }
 

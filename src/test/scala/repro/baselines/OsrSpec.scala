@@ -129,9 +129,11 @@ class OsrSpec extends AnyFunSuite {
   test("budget cap aborts the iterated OSR") {
     val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 3L, minPois = 3).head
-    val m = new BaselineMetrics
-    IterativeOsr.skySR(g, forest, q, useDij = true, m, maxSettled = 50)
-    assert(m.aborted)
+    for (useDij <- Seq(true, false)) {
+      val m = new BaselineMetrics
+      IterativeOsr.skySR(g, forest, q, useDij, m, maxSettled = 50)
+      assert(m.aborted, s"useDij = $useDij")
+    }
   }
 
   test("Dij stores routes in its queue: peak queue far larger than PNE's (Table 6 shape)") {

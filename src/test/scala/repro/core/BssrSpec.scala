@@ -128,15 +128,16 @@ class BssrSpec extends AnyFunSuite {
   test("metrics: init ratio <= 1, runs/settles positive, peak queue tracked") {
     val g = TestUtil.testSmall
     val q = Workload.queries(g, forest, 1, 3, 42L, minPois = 3).head
-    val m = new Bssr(g, forest).run(q).metrics
-    assert(m.initRatio <= 1.0 + 1e-12)
+    val res = new Bssr(g, forest).run(q)
+    val (m, p) = (res.metrics, res.plan)
+    assert(p.l0.isFinite && p.seeds.maxBy(_.semScore).length <= p.l0)
     assert(m.initRoutes >= 1)
     assert(m.mDijkstraRuns >= 1)
     assert(m.settled > 0)
     assert(m.peakQueueSize >= 1)
     assert(m.firstSearchWeightSum > 0)
-    assert(m.legS.length == 2 && m.legS.forall(_ >= 0))
-    (0 until 2).foreach(i => assert(m.legP(i) >= m.legS(i), "l_p dominates l_s"))
+    assert(p.legS.length == 3 && p.legS.forall(_ >= 0))
+    (1 until 3).foreach(i => assert(p.legP(i) >= p.legS(i), "l_p dominates l_s"))
   }
 
   test("deterministic: two runs produce identical skylines and counters") {

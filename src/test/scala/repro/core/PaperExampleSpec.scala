@@ -111,9 +111,10 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("NNinit metrics: 2 seeds, ratio 14.5/15") {
-    val m = new Bssr(graph, forest).run(query).metrics
-    assert(m.initRoutes == 2)
-    assert(math.abs(m.initRatio - 14.5 / 15.0) < tol)
+    val res = new Bssr(graph, forest).run(query)
+    assert(res.metrics.initRoutes == 2)
+    assert(math.abs(res.plan.seeds.maxBy(_.semScore).length - 14.5) < tol)
+    assert(res.plan.l0 == 15.0)
   }
 
   test("branch-and-bound prunes: optimized BSSR runs fewer modified Dijkstras than w/o Opt") {

@@ -130,6 +130,29 @@ class CategoryForestSpec extends AnyFunSuite {
     }
   }
 
+  test("fromNamed rejects a parent cycle, naming the category") {
+    val e = intercept[IllegalArgumentException] {
+      CategoryForest.fromNamed(Seq("A" -> "B", "B" -> "A"))
+    }
+    assert(e.getMessage.contains("category A"), e.getMessage)
+  }
+
+  test("fromNamed rejects an unknown parent name, naming the category") {
+    val e = intercept[IllegalArgumentException] {
+      CategoryForest.fromNamed(Seq("A" -> "", "B" -> "Z"))
+    }
+    assert(e.getMessage.contains("category B") && e.getMessage.contains("Z"), e.getMessage)
+  }
+
+  test("fromParents rejects an out-of-range parent id, naming the category") {
+    for (bad <- Seq(Array(-1, 5), Array(-1, -2), Array(-1, 1))) {
+      val e = intercept[IllegalArgumentException] {
+        CategoryForest.fromParents(bad, Array("A", "B"))
+      }
+      assert(e.getMessage.contains("category B"), e.getMessage)
+    }
+  }
+
   test("idOf/nameOf roundtrip") {
     for (c <- fs.categories) assert(fs.idOf(fs.nameOf(c)) == c)
   }
